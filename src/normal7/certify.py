@@ -25,7 +25,7 @@ from normal7.coloring_solver import (
     is_three_edge_colorable,
     enumerate_normal_colorings,
 )
-from normal7.cuts_reductions import find_bridges
+from normal7.cuts_reductions import cycle_space_labels, find_bridges
 from normal7.flows_trees import GroupFlow, flow_edge_status, verify_flow
 from normal7.graph_core import PseudoGraph
 
@@ -183,78 +183,15 @@ REGISTRY: Dict[str, NamedGraph] = build_registry()
 # -- cycle space sweeps ---------------------------------------------------------
 
 
-def _fundamental_masks(g: PseudoGraph) -> Tuple[List[int], int]:
-    """Per-edge bitmask over a fundamental-cycle basis, plus the basis size.
-
-    The spanning forest takes the lowest-id edges that do not close a cycle;
-    the remaining edges, ascending, index the basis.  A loop is its own
-    fundamental cycle.
-    """
-    ids = g.edge_ids()
-    parent_v = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent_v[x] != x:
-            parent_v[x] = parent_v[parent_v[x]]
-            x = parent_v[x]
-        return x
-
-    tree: List[int] = []
-    chords: List[int] = []
-    for e in ids:
-        u, v = g.endpoints(e)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            chords.append(e)
-        else:
-            parent_v[ru] = rv
-            tree.append(e)
-
-    # Orient the forest: parent pointers rooted anywhere, then a path walk
-    # gives each chord's tree path as an edge set.
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in g.vertices()}
-    for e in tree:
-        u, v = g.endpoints(e)
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    up_edge: Dict[int, int] = {}
-    depth: Dict[int, int] = {}
-    up: Dict[int, int] = {}
-    for root in g.vertices():
-        if root in depth:
-            continue
-        depth[root] = 0
-        up[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, e in adj[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    up[y] = x
-                    up_edge[y] = e
-                    stack.append(y)
-
-    index = {e: i for i, e in enumerate(ids)}
-    masks = [0] * len(ids)
-    for bit, e in enumerate(chords):
-        u, v = g.endpoints(e)
-        masks[index[e]] |= 1 << bit
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            masks[index[up_edge[u]]] ^= 1 << bit
-            u = up[u]
-    return masks, len(chords)
-
-
 def sweep_cycle_space(g: PseudoGraph, k: int = 3) -> Iterator[List[int]]:
     """Every conserving Z_2^k flow exactly once, as a value list over edge ids.
 
     Coefficient vectors over the fundamental-cycle basis run in lexicographic
     order starting from all zeros, so the first yield is the zero flow.
     """
-    masks, dim = _fundamental_masks(g)
+    labels, chords = cycle_space_labels(g)
+    masks = [labels[e] for e in g.edge_ids()]
+    dim = len(chords)
     m = len(masks)
     values = [0] * m
     per_bit: List[List[int]] = [[] for _ in range(dim)]
@@ -285,8 +222,8 @@ def sweep_cycle_space(g: PseudoGraph, k: int = 3) -> Iterator[List[int]]:
 
 
 def cycle_space_size(g: PseudoGraph, k: int = 3) -> int:
-    _, dim = _fundamental_masks(g)
-    return (1 << k) ** dim
+    _, chords = cycle_space_labels(g)
+    return (1 << k) ** len(chords)
 
 
 def flow_from_values(g: PseudoGraph, values: Sequence[int], k: int = 3) -> GroupFlow:

@@ -2,9 +2,10 @@
 or run the exhaustive certificates.
 
 Exit codes: 0 success, 2 bad input, 3 inconclusive within budget, 4 internal
-verification failure.  Graphs are read as graph6 (one line, no spaces) or as
-an edge list ("n m" header, then one "u v" pair per line), from a file or
-from stdin.
+verification failure.  A census exits 2 if a line is not graph6 and 4 if any
+other line fails; the higher code wins.  Graphs are read as graph6 (one line,
+no spaces) or as an edge list ("n m" header, then one "u v" pair per line),
+from a file or from stdin.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from normal7.cuts_reductions import find_bridges
 from normal7.graph_core import (
     Graph6Error,
     PseudoGraph,
+    VerificationError,
     parse_edge_list,
     parse_graph6,
     write_dot,
     write_graph6,
 )
-from normal7.normal7_pipeline import (
-    CertificateStep,
-    PipelineVerificationError,
-    normal7_coloring,
-)
+from normal7.normal7_pipeline import CertificateStep, normal7_coloring
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,7 +110,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         # the only in-domain refusal: a graph with no normal coloring at all
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except PipelineVerificationError as exc:
+    except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
@@ -232,10 +230,13 @@ def cmd_census(args: argparse.Namespace) -> int:
     colors_hist: Dict[str, int] = {}
     exact_hist: Dict[str, int] = {}
     failures = 0
+    rc = EXIT_OK
     for rec in _census_records(lines, args.jobs, args.exact_up_to, args.budget):
         print(json.dumps(rec, sort_keys=True))
         if "error" in rec:
             failures += 1
+            bad_line = rec["error"].startswith(f"{Graph6Error.__name__}:")
+            rc = max(rc, EXIT_INPUT if bad_line else EXIT_VERIFY)
             continue
         used = str(rec["colors_used"])
         colors_hist[used] = colors_hist.get(used, 0) + 1
@@ -250,7 +251,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         "exact_chi_histogram": exact_hist,
     }
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return rc
 
 
 def cmd_certify(args: argparse.Namespace) -> int:

@@ -1,16 +1,22 @@
 """Edge connectivity, small edge cuts, cut reductions and ladders.
 
-Cut enumeration is brute force over edge subsets; all callers work on graphs
-small enough that this is far from the bottleneck.
+Small cuts come from one exact cycle-space labelling (Pritchard & Thurimella,
+"Fast computation of small cuts via cycle space sampling", TALG 2011, with
+big-int labels in place of random ones).  Each edge is labelled by the set
+of fundamental cycles through it, built in O(m) XORs over a search forest.
+A set of edges is an edge cut exactly when its labels XOR to 0: bridges are
+the edges labelled 0, 2-edge-cuts are pairs inside a group of equal labels,
+and 3-edge-cut candidates come from a pair-XOR lookup in O(m^2).  One search
+per returned cut computes its sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from normal7.graph_core import PseudoGraph, remove_vertices
+from normal7.graph_core import PseudoGraph, remove_vertices, verify_or_raise
 
 
 @dataclass(frozen=True)
@@ -41,56 +47,72 @@ class ReductionPiece:
 class ReductionTrace:
     """Everything needed to splice a reduction back into the original graph."""
 
-    kind: str  # "two_cut" or "three_cut"
     cut: Tuple[int, ...]  # sorted original cut eids
     cut_endpoints: Tuple[Tuple[int, int], ...]  # original endpoint tuples
     n: int  # original vertex count
     pieces: Tuple[ReductionPiece, ReductionPiece] = field(default=None)  # type: ignore[assignment]
 
 
+def cycle_space_labels(g: PseudoGraph) -> Tuple[Dict[int, int], List[int]]:
+    """Per-edge cycle-space label, plus the chords in bit order.
+
+    A search forest is grown from each unvisited vertex in ascending order.
+    Every edge outside the forest (a chord; loops included) gets the next
+    bit, in ascending edge id order, and the label of an edge is the set of
+    fundamental cycles through it: a chord carries its own bit, and a tree
+    edge carries the bits of the chords whose tree path crosses it.  A loop
+    toggles its bit twice at its vertex, so it is its own fundamental cycle.
+
+    An edge set F is an edge cut exactly when the labels of F XOR to 0, so
+    bridges are the edges labelled 0 and a 2-edge-cut of a connected graph
+    is a pair of equal labels.  Cost: O(m) big-int XORs.
+    """
+    edges = list(g.edges())
+    adj: List[List[Tuple[int, int]]] = [[] for _ in g.vertices()]
+    for eid, u, v in edges:
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
+    up_edge = [-1] * g.num_vertices  # tree edge to the parent, -1 at a root
+    parent = [-1] * g.num_vertices
+    order: List[int] = []  # vertices in discovery order; parents come first
+    seen = [False] * g.num_vertices
+    for root in g.vertices():
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for eid, w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w], up_edge[w] = v, eid
+                    order.append(w)
+                    stack.append(w)
+    tree = set(up_edge)  # the -1 of the roots matches no edge
+    acc = [0] * g.num_vertices  # XOR of the chord bits toggled at each vertex
+    labels: Dict[int, int] = {}
+    chords: List[int] = []
+    for eid, u, v in edges:
+        if eid in tree:
+            continue
+        bit = 1 << len(chords)
+        chords.append(eid)
+        labels[eid] = bit
+        acc[u] ^= bit
+        acc[v] ^= bit
+    for v in reversed(order):
+        if up_edge[v] != -1:
+            labels[up_edge[v]] = acc[v]
+            acc[parent[v]] ^= acc[v]
+    return labels, chords
+
+
 def find_bridges(g: PseudoGraph) -> List[int]:
     """All bridge edge ids, sorted.  Parallel edges and loops are never bridges."""
-    n = g.num_vertices
-    disc = [-1] * n
-    low = [0] * n
-    bridges: List[int] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # Stack frames: (vertex, entering eid, iterator index into incident list).
-        inc = g.incident(root)
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: List[Tuple[int, int, List[int], int]] = [(root, -1, inc, 0)]
-        while stack:
-            v, ein, edges_v, idx = stack.pop()
-            advanced = False
-            while idx < len(edges_v):
-                eid = edges_v[idx]
-                idx += 1
-                if eid == ein:
-                    ein = -2  # skip the entering edge exactly once
-                    continue
-                if g.is_loop(eid):
-                    continue
-                w = g.other_endpoint(eid, v)
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((v, ein, edges_v, idx))
-                    stack.append((w, eid, g.incident(w), 0))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced and stack:
-                pv, pein, pedges, pidx = stack[-1]
-                low[pv] = min(low[pv], low[v])
-                if low[v] > disc[pv]:
-                    # The entering edge of v is a bridge.
-                    entry = pedges[pidx - 1]
-                    bridges.append(entry)
-    return sorted(bridges)
+    labels, _ = cycle_space_labels(g)
+    return sorted(e for e, label in labels.items() if label == 0)
 
 
 def _components_after_removal(g: PseudoGraph, removed: Set[int]) -> List[Set[int]]:
@@ -117,26 +139,55 @@ def _components_after_removal(g: PseudoGraph, removed: Set[int]) -> List[Set[int
 
 
 def _cut_from_sides(g: PseudoGraph, edges: Iterable[int], comps: List[Set[int]]) -> EdgeCut:
-    assert len(comps) == 2
+    verify_or_raise(len(comps) == 2, f"edges {sorted(edges)} do not split the graph in two")
     side_a, side_b = comps
     if 0 in side_b:
         side_a, side_b = side_b, side_a
     return EdgeCut(frozenset(edges), frozenset(side_a), frozenset(side_b))
 
 
+def _by_label(labels: Dict[int, int]) -> Dict[int, List[int]]:
+    """Edge ids grouped by label, each group ascending."""
+    groups: Dict[int, List[int]] = {}
+    for e in sorted(labels):
+        groups.setdefault(labels[e], []).append(e)
+    return groups
+
+
 def find_2_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
-    """All 2-edge-cuts of a connected bridgeless graph, sorted by edge pair."""
+    """All 2-edge-cuts of a connected bridgeless graph, sorted by edge pair.
+
+    Every pair inside a group of equal labels is a cut; a loop's label is
+    its own chord bit, so loops never share a group.
+    """
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if find_bridges(g):
+    labels, _ = cycle_space_labels(g)
+    groups = _by_label(labels)
+    if 0 in groups:
         raise ValueError("graph must be bridgeless")
-    non_loops = [e for e in g.edge_ids() if not g.is_loop(e)]
     cuts: List[EdgeCut] = []
-    for e, f in combinations(non_loops, 2):
-        comps = _components_after_removal(g, {e, f})
-        if len(comps) == 2:
-            cuts.append(_cut_from_sides(g, (e, f), comps))
+    for group in groups.values():
+        for pair in combinations(group, 2):
+            cuts.append(_cut_from_sides(g, pair, _components_after_removal(g, set(pair))))
     return sorted(cuts, key=lambda c: c.pair)
+
+
+def _three_cut_candidates(g: PseudoGraph, labels: Dict[int, int]) -> Iterator[Tuple[int, int, int]]:
+    """Ascending edge triples whose labels XOR to 0, vertex stars left out.
+
+    Every 3-edge cut other than a star is among them; O(m^2) by a pair-XOR
+    lookup.  In a cubic graph three edges with a common endpoint are that
+    vertex's star.
+    """
+    groups = _by_label(labels)
+    ids = sorted(labels)
+    for i, e in enumerate(ids):
+        ends_e = set(g.endpoints(e))
+        for f in ids[i + 1 :]:
+            for h in groups.get(labels[e] ^ labels[f], ()):
+                if h > f and not ends_e & set(g.endpoints(f)) & set(g.endpoints(h)):
+                    yield (e, f, h)
 
 
 def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
@@ -149,9 +200,9 @@ def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
         raise ValueError("graph must be cubic")
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    non_loops = [e for e in g.edge_ids() if not g.is_loop(e)]
+    labels, _ = cycle_space_labels(g)
     cuts: List[EdgeCut] = []
-    for triple in combinations(non_loops, 3):
+    for triple in _three_cut_candidates(g, labels):
         comps = _components_after_removal(g, set(triple))
         if len(comps) != 2:
             continue
@@ -167,16 +218,20 @@ def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
 
 
 def is_cyclically_4ec(g: PseudoGraph) -> bool:
-    """Cubic g: connected, bridgeless, no 2-cuts, every 3-cut trivial."""
+    """Cubic g: connected, bridgeless, no 2-cuts, every 3-cut trivial.
+
+    Once no label is 0 or repeated, the graph is 3-edge-connected, and then
+    every candidate triple is a genuine nontrivial 3-edge-cut.
+    """
     if not g.is_cubic():
         raise ValueError("graph must be cubic")
     if not g.is_connected():
         return False
-    if find_bridges(g):
+    labels, _ = cycle_space_labels(g)
+    groups = _by_label(labels)
+    if 0 in groups or len(groups) < len(labels):
         return False
-    if find_2_edge_cuts(g):
-        return False
-    return not find_nontrivial_3_edge_cuts(g)
+    return next(_three_cut_candidates(g, labels), None) is None
 
 
 def _oriented_cut_endpoints(
@@ -226,10 +281,11 @@ def two_cut_reduction(
         arising = h.add_edge(vmap[p1], vmap[p2])
         pieces.append(ReductionPiece(h, vmap, emap, (arising,)))
     for piece in pieces:
-        for ov, pv in piece.vmap.items():
-            assert piece.graph.degree(pv) == g.degree(ov)
+        verify_or_raise(
+            all(piece.graph.degree(pv) == g.degree(ov) for ov, pv in piece.vmap.items()),
+            "a 2-cut piece changed a vertex degree",
+        )
     trace = ReductionTrace(
-        kind="two_cut",
         cut=edges,
         cut_endpoints=tuple(g.endpoints(c) for c in edges),
         n=g.num_vertices,
@@ -258,9 +314,11 @@ def three_cut_reduction(g: PseudoGraph, cut) -> Tuple[ReductionPiece, ReductionP
         arising = tuple(h.add_edge(vmap[pt[slot]], nu) for pt in oriented)
         pieces.append(ReductionPiece(h, vmap, emap, arising, nu=nu))
     if g.is_cubic():
-        assert pieces[0].graph.is_cubic() and pieces[1].graph.is_cubic()
+        verify_or_raise(
+            pieces[0].graph.is_cubic() and pieces[1].graph.is_cubic(),
+            "a 3-cut piece of a cubic graph is not cubic",
+        )
     trace = ReductionTrace(
-        kind="three_cut",
         cut=edges,
         cut_endpoints=tuple(g.endpoints(c) for c in edges),
         n=g.num_vertices,
@@ -415,7 +473,8 @@ def ladder_containing(g: PseudoGraph, cut) -> Ladder:
     """The unique maximal ladder whose rail pair set contains the given 2-cut.
 
     Requires a connected simple cubic bridgeless graph; growth invariants are
-    asserted at every step and the result is validated before return.
+    asserted at every step and the result is validated before return, raising
+    VerificationError if it is not a ladder.
     """
     if not (g.is_cubic() and g.is_simple() and g.is_connected()):
         raise ValueError("ladders are defined here for connected simple cubic graphs")
@@ -465,5 +524,5 @@ def ladder_containing(g: PseudoGraph, cut) -> Ladder:
         assert len(between) == 1
         rungs.append(between[0])
     L = Ladder(tuple(rail1), tuple(rail2), tuple(redges1), tuple(redges2), tuple(rungs))
-    assert validate_ladder(g, L)
+    verify_or_raise(validate_ladder(g, L), f"grown ladder {L} is not valid")
     return L

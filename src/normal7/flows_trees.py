@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges, two_cut_reduction
-from normal7.graph_core import PseudoGraph, remove_vertices
+from normal7.graph_core import PseudoGraph, remove_vertices, verify_or_raise
 
 GF2Vector = int  # k-bit value; addition is bitwise xor
 
@@ -74,6 +74,16 @@ def verify_flow(flow: GroupFlow) -> FlowCheck:
             break
     nowhere_zero = all(vals[e] != 0 for e in ids)
     return FlowCheck(conserving, nowhere_zero)
+
+
+def _verified_nz(flow: GroupFlow) -> GroupFlow:
+    """The flow itself, once verify_flow finds it nowhere-zero and conserving."""
+    check = verify_flow(flow)
+    verify_or_raise(
+        check.conserving and check.nowhere_zero,
+        f"constructed Z_2^{flow.k} flow is not nowhere-zero conserving",
+    )
+    return flow
 
 
 def flow_value_set(flow: GroupFlow, v: int) -> Set[GF2Vector]:
@@ -291,10 +301,7 @@ def flow_from_even_subgraphs(
     if s1 | s2 != ids:
         raise ValueError("even subgraphs must cover every edge")
     values = {e: (X if e in s1 else 0) | (Y if e in s2 else 0) for e in ids}
-    flow = GroupFlow(g, 2, values)
-    check = verify_flow(flow)
-    assert check.conserving and check.nowhere_zero
-    return flow
+    return _verified_nz(GroupFlow(g, 2, values))
 
 
 def nz_flow_from_tree_pair(g: PseudoGraph, tp: TreePair) -> GroupFlow:
@@ -399,10 +406,7 @@ def _flow_with_free_loops(
         for d in (f, gg):
             if d in loops:
                 values[d] = next(v for v in (X, Y, X | Y) if v != values[e])
-    flow = GroupFlow(g, 2, values)
-    check = verify_flow(flow)
-    assert check.conserving and check.nowhere_zero
-    return flow
+    return _verified_nz(GroupFlow(g, 2, values))
 
 
 def flow_two_adjacent_distinct(g: PseudoGraph, e: int, f: int) -> GroupFlow:
@@ -432,10 +436,7 @@ def nz_z23_flow(g: PseudoGraph) -> GroupFlow:
             inv = {pe: oe for oe, pe in emap.items()}
             for pe, val in _nz3_connected(sub).items():
                 values[inv[pe]] = val
-    flow = GroupFlow(g, 3, values)
-    check = verify_flow(flow)
-    assert check.conserving and check.nowhere_zero
-    return flow
+    return _verified_nz(GroupFlow(g, 3, values))
 
 
 def _nz3_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:

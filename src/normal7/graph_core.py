@@ -8,7 +8,6 @@ the vertex range (labels above it shift down by one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -20,15 +19,14 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class GraphClass:
-    """Structural summary of a pseudograph."""
+class VerificationError(RuntimeError):
+    """A result failed the check that guards it before it is returned."""
 
-    simple: bool
-    connected: bool
-    cubic: bool
-    min_degree: int
-    max_degree: int
+
+def verify_or_raise(ok: bool, message: str) -> None:
+    """Raise VerificationError(message) unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise VerificationError(message)
 
 
 class PseudoGraph:
@@ -236,30 +234,12 @@ class PseudoGraph:
     def is_cubic(self) -> bool:
         return all(self.degree(v) == 3 for v in self.vertices())
 
-    def graph_class(self) -> GraphClass:
-        degs = [self.degree(v) for v in self.vertices()] or [0]
-        return GraphClass(
-            simple=self.is_simple(),
-            connected=self.is_connected(),
-            cubic=all(d == 3 for d in degs) and self._n > 0,
-            min_degree=min(degs),
-            max_degree=max(degs),
-        )
-
     def __repr__(self) -> str:
         return f"PseudoGraph(n={self._n}, m={self.num_edges})"
 
     def same_labeled_graph(self, other: "PseudoGraph") -> bool:
         """Equality of vertex count and the labeled edge set."""
         return self._n == other._n and sorted(self.edges()) == sorted(other.edges())
-
-
-def incident_edges(g: PseudoGraph, v: int) -> List[int]:
-    return g.incident(v)
-
-
-def degree(g: PseudoGraph, v: int) -> int:
-    return g.degree(v)
 
 
 def subdivide_edge(g: PseudoGraph, eid: int) -> Tuple[PseudoGraph, int, Tuple[int, int]]:
@@ -460,6 +440,9 @@ def parse_edge_list(text: str) -> PseudoGraph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
+    if n > 2 * m:
+        # m edges touch at most 2m vertices; checked before n lists are built
+        raise ValueError(f"header promises {n} vertices but only {m} edges")
     g = PseudoGraph(n)
     for ln in lines[1:]:
         parts = ln.split()

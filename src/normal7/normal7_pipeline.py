@@ -63,6 +63,7 @@ from normal7.flows_trees import (
 )
 from normal7.graph_core import (
     PseudoGraph,
+    VerificationError,
     attach_pendant,
     remove_vertices,
     subdivide_edge,
@@ -105,7 +106,7 @@ class CertificateStep:
     permutation: Tuple[int, ...] = IDENTITY_PERMUTATION
 
 
-class PipelineVerificationError(RuntimeError):
+class PipelineVerificationError(VerificationError):
     """An assembled coloring or flow failed re-verification."""
 
     def __init__(self, message: str, trace: Sequence[CertificateStep] = ()):
@@ -695,22 +696,13 @@ def _side_pieces(
 ) -> Tuple[ReductionPiece, ReductionPiece]:
     """(piece containing rail start, piece containing rail end) for the two
     boundary rail cuts of a maximal ladder."""
-    pa0, pb0, _ = two_cut_reduction(g, _cut_of_pair(g, lad.rail_pair(0)), strict=True)
+    pa0, pb0, _ = two_cut_reduction(g, lad.rail_pair(0), strict=True)
     p_g1 = pa0 if lad.u_rail[0] in pa0.vmap else pb0
     assert lad.u_rail[0] in p_g1.vmap and lad.v_rail[0] in p_g1.vmap
-    pam, pbm, _ = two_cut_reduction(
-        g, _cut_of_pair(g, lad.rail_pair(lad.m - 1)), strict=True
-    )
+    pam, pbm, _ = two_cut_reduction(g, lad.rail_pair(lad.m - 1), strict=True)
     p_g2 = pam if lad.u_rail[lad.m] in pam.vmap else pbm
     assert lad.u_rail[lad.m] in p_g2.vmap and lad.v_rail[lad.m] in p_g2.vmap
     return p_g1, p_g2
-
-
-def _cut_of_pair(g: PseudoGraph, pair: Tuple[int, int]) -> EdgeCut:
-    for c in find_2_edge_cuts(g):
-        if set(c.pair) == set(pair):
-            return c
-    raise AssertionError(f"rail pair {pair} is not a 2-edge-cut")
 
 
 # --- case: some maximal ladder avoids e --------------------------------------
@@ -726,8 +718,7 @@ def _case_ladder_avoids_e(
         lad = _flip_ladder(lad)
         comp0 = _component_vertices(g, set(lad.edges()), lad.u_rail[0])
         assert endpoints <= comp0
-    cut = _cut_of_pair(g, lad.rail_pair(0))
-    pa, pb, _ = two_cut_reduction(g, cut, strict=True)
+    pa, pb, _ = two_cut_reduction(g, lad.rail_pair(0), strict=True)
     p_h = pa if lad.u_rail[0] in pa.vmap else pb
     p_rest = pb if p_h is pa else pa
     assert e in p_h.emap
@@ -777,7 +768,7 @@ def _case_ladder_avoids_e(
         colors[orig] = c1.colors[loc]
     for orig, loc in p_rest.emap.items():
         colors[orig] = perm[c2.colors[loc]]
-    for ce in cut.pair:
+    for ce in lad.rail_pair(0):
         colors[ce] = x
     colors[block.half_u] = c1.colors[sub_h.half_u]
     colors[block.half_w] = c1.colors[sub_h.half_w]
@@ -955,8 +946,7 @@ def _case_initial_edge(
     assert e == lad.u_edges[m - 1]
     _record(steps, CaseTag.InitialEdge, g, (e,))
 
-    cut = _cut_of_pair(g, lad.rail_pair(m - 1))
-    pa, pb, _ = two_cut_reduction(g, cut, strict=True)
+    pa, pb, _ = two_cut_reduction(g, lad.rail_pair(m - 1), strict=True)
     p_h1 = pa if lad.u_rail[m - 1] in pa.vmap else pb
     p_h2 = pb if p_h1 is pa else pa
     assert lad.u_rail[m] in p_h2.vmap

@@ -9,6 +9,7 @@ from normal7.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_VERIFY,
     InputError,
     census_line,
     main,
@@ -86,6 +87,11 @@ class TestColor:
         assert rc == EXIT_INPUT
         assert "vertex 0" in err and "degree 2" in err
 
+    def test_vertex_count_beyond_the_edges_is_input_error(self, capsys, monkeypatch):
+        rc, _, err = run(capsys, ["color"], stdin="1000000000 0\n", monkeypatch=monkeypatch)
+        assert rc == EXIT_INPUT
+        assert "1000000000 vertices" in err
+
     def test_bad_graph6_is_input_error(self, capsys, monkeypatch):
         rc, _, err = run(capsys, ["color"], stdin="!!!", monkeypatch=monkeypatch)
         assert rc == EXIT_INPUT
@@ -122,7 +128,7 @@ class TestCensus:
         path = tmp_path / "list.g6"
         path.write_text(f"{K4_G6}\nbroken line\n{PETERSEN_G6}\n")
         rc, out, _ = run(capsys, ["census", str(path), "--exact-up-to", "4"])
-        assert rc == EXIT_OK
+        assert rc == EXIT_INPUT  # the broken line fails the run
         lines = [json.loads(ln) for ln in out.splitlines()]
         assert len(lines) == 4
         k4_rec, bad_rec, pet_rec, summary = lines
@@ -153,6 +159,21 @@ class TestCensus:
             return rows
 
         assert strip_timing(out1) == strip_timing(out2)
+
+    @pytest.mark.parametrize(
+        "bad_lines, code",
+        [
+            (["broken line"], EXIT_INPUT),  # not graph6
+            (["A_"], EXIT_VERIFY),  # graph6 of K2, which the pipeline rejects
+            (["broken line", "A_"], EXIT_VERIFY),  # the higher code wins
+        ],
+    )
+    def test_failed_lines_set_the_exit_code(self, capsys, tmp_path, bad_lines, code):
+        path = tmp_path / "list.g6"
+        path.write_text("\n".join([K4_G6, *bad_lines]) + "\n")
+        rc, out, _ = run(capsys, ["census", str(path)])
+        assert rc == code
+        assert json.loads(out.splitlines()[-1])["failures"] == len(bad_lines)
 
     def test_census_line_isolates_failures(self):
         rec = census_line("garbage!!", exact_up_to=0, budget=None)

@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from normal7 import cuts_reductions
 from normal7.cuts_reductions import (
     EdgeCut,
     Ladder,
@@ -19,7 +20,7 @@ from normal7.cuts_reductions import (
     two_cut_reduction,
     validate_ladder,
 )
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, VerificationError
 from tests.corpora import (
     fig6_graph,
     k4,
@@ -226,6 +227,11 @@ class TestLadders:
         # Truncated ladder ends at an adjacent pair, which is not allowed.
         bad2 = Ladder(L.u_rail[:3], L.v_rail[:3], L.u_edges[:2], L.v_edges[:2], L.rungs[:1])
         assert not validate_ladder(g, bad2)
+
+    def test_an_invalid_grown_ladder_raises(self, monkeypatch):
+        monkeypatch.setattr(cuts_reductions, "validate_ladder", lambda g, L: False)
+        with pytest.raises(VerificationError, match="is not valid"):
+            ladder_containing(fig6_graph(), (5, 6))
 
     def test_requires_simple_cubic_and_real_cut(self):
         with pytest.raises(ValueError):

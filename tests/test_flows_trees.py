@@ -10,8 +10,10 @@ from itertools import combinations, product
 import networkx as nx
 import pytest
 
+from normal7 import flows_trees
 from normal7.flows_trees import (
     IDENTITY_AUTOMORPHISM,
+    FlowCheck,
     GF2Automorphism,
     GroupFlow,
     PackingError,
@@ -32,7 +34,7 @@ from normal7.flows_trees import (
     parity_subgraph_in_tree,
     verify_flow,
 )
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, VerificationError
 from tests.corpora import (
     doubled_cycle,
     fig6_graph,
@@ -366,6 +368,24 @@ class TestNZ23Flow:
     def test_standard_cubics(self):
         for g in (k4(), k33(), prism(), long_ladder_graph()):
             self.assert_good(g)
+
+
+class TestOutputChecks:
+    """A constructed flow is re-checked by a raise, which python -O keeps."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: nz_z23_flow(k4()),
+            lambda: flow_from_even_subgraphs(k4(), {0, 2, 3, 5}, {1, 2, 3, 4}),
+            lambda: flow_three_edges_distinct(with_loop_at(doubled_cycle(3), 0), 6, 0, 1),
+        ],
+        ids=["nz_z23_flow", "even_subgraphs", "free_loops"],
+    )
+    def test_a_rejected_flow_raises(self, monkeypatch, build):
+        monkeypatch.setattr(flows_trees, "verify_flow", lambda flow: FlowCheck(True, False))
+        with pytest.raises(VerificationError, match="not nowhere-zero conserving"):
+            build()
 
 
 class TestAutomorphisms:

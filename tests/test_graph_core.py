@@ -215,6 +215,9 @@ class TestEdgeListFormat:
             parse_edge_list("2 3\n0 1\n")
         with pytest.raises(ValueError):
             parse_edge_list("")
+        # rejected from the header alone, before n adjacency lists exist
+        with pytest.raises(ValueError, match="1000000000 vertices but only 0 edges"):
+            parse_edge_list("1000000000 0")
 
     def test_comments_skipped(self):
         g = parse_edge_list("# cubic\n2 1\n0 1\n")
