@@ -2,10 +2,10 @@
 or run the exhaustive certificates.
 
 Exit codes: 0 success, 2 bad input, 3 inconclusive within budget, 4 internal
-verification failure.  A census exits 2 if a line is not graph6 and 4 if any
-other line fails; the higher code wins.  Graphs are read as graph6 (one line,
-no spaces) or as an edge list ("n m" header, then one "u v" pair per line),
-from a file or from stdin.
+failure.  A census exits 2 if a line is not graph6, 3 if an exact run ran out
+of budget and 4 if any other line fails; the highest code wins.  Graphs are
+read as graph6 (one line, no spaces) or as an edge list ("n m" header, then
+one "u v" pair per line), from a file or from stdin.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from normal7.certify import CLAIMS, run_claim
 from normal7.coloring_solver import EdgeColoring, exact_chi_n, is_normal
 from normal7.cuts_reductions import find_bridges
+from normal7.flows_trees import PackingError
 from normal7.graph_core import (
     Graph6Error,
     PseudoGraph,
@@ -31,6 +32,7 @@ from normal7.graph_core import (
     write_dot,
     write_graph6,
 )
+from normal7.matching import MatchingError
 from normal7.normal7_pipeline import CertificateStep, normal7_coloring
 
 EXIT_OK = 0
@@ -106,12 +108,11 @@ def cmd_color(args: argparse.Namespace) -> int:
     trace: List[CertificateStep] = []
     try:
         coloring = normal7_coloring(g, trace)
-    except ValueError as exc:
-        # the only in-domain refusal: a graph with no normal coloring at all
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
+    except (ValueError, AssertionError, MatchingError, PackingError, VerificationError) as exc:
+        # every simple cubic graph has a normal 7-coloring, so once the input
+        # checks pass any failure is the program's own
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(json.dumps({"certificate": _certificate_json(trace)}), file=sys.stderr)
         return EXIT_VERIFY
 
     if fmt == "dot":
@@ -183,10 +184,12 @@ def census_line(line: str, exact_up_to: int, budget: Optional[int]) -> Dict[str,
         ok, _ = is_normal(coloring)
         exact_chi: Optional[int] = None
         solver_nodes = 0
+        inconclusive = False
         if exact_up_to and g.num_vertices <= exact_up_to:
             res = exact_chi_n(g, 7, budget)
             exact_chi = res.chi
             solver_nodes = res.nodes_explored
+            inconclusive = res.timed_out
         record = CensusRecord(
             graph6=line,
             n=g.num_vertices,
@@ -197,7 +200,10 @@ def census_line(line: str, exact_up_to: int, budget: Optional[int]) -> Dict[str,
             solver_nodes=solver_nodes,
             elapsed_ms=round((time.perf_counter() - start) * 1000.0, 3),
         )
-        return asdict(record)
+        out = asdict(record)
+        if inconclusive:
+            out["inconclusive"] = True  # the key normal7 exact uses
+        return out
     except Exception as exc:  # isolate the line, keep the sweep going
         return {
             "graph6": line,
@@ -230,6 +236,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     colors_hist: Dict[str, int] = {}
     exact_hist: Dict[str, int] = {}
     failures = 0
+    inconclusive = 0
     rc = EXIT_OK
     for rec in _census_records(lines, args.jobs, args.exact_up_to, args.budget):
         print(json.dumps(rec, sort_keys=True))
@@ -238,6 +245,9 @@ def cmd_census(args: argparse.Namespace) -> int:
             bad_line = rec["error"].startswith(f"{Graph6Error.__name__}:")
             rc = max(rc, EXIT_INPUT if bad_line else EXIT_VERIFY)
             continue
+        if rec.get("inconclusive"):
+            inconclusive += 1
+            rc = max(rc, EXIT_INCONCLUSIVE)
         used = str(rec["colors_used"])
         colors_hist[used] = colors_hist.get(used, 0) + 1
         if rec["exact_chi"] is not None:
@@ -247,6 +257,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         "summary": True,
         "graphs": len(lines),
         "failures": failures,
+        "inconclusive": inconclusive,
         "colors_used_histogram": colors_hist,
         "exact_chi_histogram": exact_hist,
     }

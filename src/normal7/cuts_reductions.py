@@ -115,30 +115,7 @@ def find_bridges(g: PseudoGraph) -> List[int]:
     return sorted(e for e, label in labels.items() if label == 0)
 
 
-def _components_after_removal(g: PseudoGraph, removed: Set[int]) -> List[Set[int]]:
-    seen = [False] * g.num_vertices
-    comps: List[Set[int]] = []
-    for s in g.vertices():
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for eid in g.incident(v):
-                if eid in removed:
-                    continue
-                w = g.other_endpoint(eid, v)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
-def _cut_from_sides(g: PseudoGraph, edges: Iterable[int], comps: List[Set[int]]) -> EdgeCut:
+def _cut_from_sides(g: PseudoGraph, edges: Iterable[int], comps: List[List[int]]) -> EdgeCut:
     verify_or_raise(len(comps) == 2, f"edges {sorted(edges)} do not split the graph in two")
     side_a, side_b = comps
     if 0 in side_b:
@@ -169,7 +146,7 @@ def find_2_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
     cuts: List[EdgeCut] = []
     for group in groups.values():
         for pair in combinations(group, 2):
-            cuts.append(_cut_from_sides(g, pair, _components_after_removal(g, set(pair))))
+            cuts.append(_cut_from_sides(g, pair, g.connected_components(skip=pair)))
     return sorted(cuts, key=lambda c: c.pair)
 
 
@@ -203,10 +180,10 @@ def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
     labels, _ = cycle_space_labels(g)
     cuts: List[EdgeCut] = []
     for triple in _three_cut_candidates(g, labels):
-        comps = _components_after_removal(g, set(triple))
+        comps = g.connected_components(skip=triple)
         if len(comps) != 2:
             continue
-        side = comps[0]
+        side = set(comps[0])
         if not all(
             (g.endpoints(e)[0] in side) != (g.endpoints(e)[1] in side) for e in triple
         ):
@@ -250,7 +227,7 @@ def _normalize_cut(g: PseudoGraph, cut) -> Tuple[Tuple[int, ...], Set[int], Set[
         edges = cut.pair
     else:
         edges = tuple(sorted(cut))
-    comps = _components_after_removal(g, set(edges))
+    comps = g.connected_components(skip=edges)
     if len(comps) != 2:
         raise ValueError(f"edges {edges} are not a cut into two sides")
     ec = _cut_from_sides(g, edges, comps)
@@ -458,7 +435,7 @@ def validate_ladder(g: PseudoGraph, L: Ladder) -> bool:
     if induced != 2 * m + (m - 1):
         return False
     for i in range(m):
-        comps = _components_after_removal(g, set(L.rail_pair(i)))
+        comps = g.connected_components(skip=L.rail_pair(i))
         if len(comps) != 2:
             return False
         low = next(c for c in comps if L.u_rail[i] in c)
@@ -499,7 +476,7 @@ def ladder_containing(g: PseudoGraph, cut) -> Ladder:
             assert len(third_x) == 1 and len(third_y) == 1
             nx_, ny_ = g.other_endpoint(third_x[0], x), g.other_endpoint(third_y[0], y)
             assert nx_ != ny_ and nx_ not in known and ny_ not in known
-            comps = _components_after_removal(g, {third_x[0], third_y[0]})
+            comps = g.connected_components(skip=(third_x[0], third_y[0]))
             assert len(comps) == 2
             known.update((nx_, ny_))
             xs.append(nx_)

@@ -9,11 +9,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges, two_cut_reduction
-from normal7.graph_core import PseudoGraph, remove_vertices, verify_or_raise
+from normal7.graph_core import PseudoGraph, solve_per_component, verify_or_raise
 
 GF2Vector = int  # k-bit value; addition is bitwise xor
 
@@ -76,7 +75,7 @@ def verify_flow(flow: GroupFlow) -> FlowCheck:
     return FlowCheck(conserving, nowhere_zero)
 
 
-def _verified_nz(flow: GroupFlow) -> GroupFlow:
+def verified_nz_flow(flow: GroupFlow) -> GroupFlow:
     """The flow itself, once verify_flow finds it nowhere-zero and conserving."""
     check = verify_flow(flow)
     verify_or_raise(
@@ -158,20 +157,10 @@ def _try_augment(g: PseudoGraph, forests: List[Set[int]], e: int) -> bool:
 
 
 def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
-    n = g.num_vertices
-    if len(edges) != n - 1:
+    if len(edges) != g.num_vertices - 1:
         return False
-    seen = {0} if n else set()
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for eid in g.incident(v):
-            if eid in edges:
-                w = g.other_endpoint(eid, v)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return len(seen) == n
+    others = [e for e in g.edge_ids() if e not in edges]
+    return len(g.connected_components(skip=others)) == 1
 
 
 def _assert_forests(g: PseudoGraph, forests: List[Set[int]]) -> None:
@@ -194,24 +183,6 @@ def _assert_forests(g: PseudoGraph, forests: List[Set[int]]) -> None:
             comp[ru] = rv
 
 
-def _pack_exhaustive(g: PseudoGraph, k: int) -> Optional[List[Set[int]]]:
-    """Brute-force packing for tiny graphs; k = 2 only."""
-    if k != 2:
-        return None
-    n = g.num_vertices
-    ids = [e for e in g.edge_ids() if not g.is_loop(e)]
-    for t1 in combinations(ids, n - 1):
-        s1 = set(t1)
-        if not _is_spanning_tree(g, s1):
-            continue
-        rest = [e for e in ids if e not in s1]
-        for t2 in combinations(rest, n - 1):
-            s2 = set(t2)
-            if _is_spanning_tree(g, s2):
-                return [s1, s2]
-    return None
-
-
 def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
     n = g.num_vertices
     if n <= 1:
@@ -228,10 +199,6 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
         for f in forests:
             assert _is_spanning_tree(g, f)
         return forests
-    if g.num_edges <= 12:
-        fallback = _pack_exhaustive(g, k)
-        if fallback is not None:
-            return fallback
     raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
 
 
@@ -301,7 +268,7 @@ def flow_from_even_subgraphs(
     if s1 | s2 != ids:
         raise ValueError("even subgraphs must cover every edge")
     values = {e: (X if e in s1 else 0) | (Y if e in s2 else 0) for e in ids}
-    return _verified_nz(GroupFlow(g, 2, values))
+    return verified_nz_flow(GroupFlow(g, 2, values))
 
 
 def nz_flow_from_tree_pair(g: PseudoGraph, tp: TreePair) -> GroupFlow:
@@ -406,7 +373,7 @@ def _flow_with_free_loops(
         for d in (f, gg):
             if d in loops:
                 values[d] = next(v for v in (X, Y, X | Y) if v != values[e])
-    return _verified_nz(GroupFlow(g, 2, values))
+    return verified_nz_flow(GroupFlow(g, 2, values))
 
 
 def flow_two_adjacent_distinct(g: PseudoGraph, e: int, f: int) -> GroupFlow:
@@ -427,16 +394,8 @@ def nz_z23_flow(g: PseudoGraph) -> GroupFlow:
     """
     if find_bridges(g):
         raise ValueError("graph has a bridge, so it admits no nowhere-zero flow")
-    values: Dict[int, GF2Vector] = {}
-    for comp in g.connected_components():
-        if len(comp) == g.num_vertices:
-            values.update(_nz3_connected(g))
-        else:
-            sub, _, emap = remove_vertices(g, set(g.vertices()) - set(comp))
-            inv = {pe: oe for oe, pe in emap.items()}
-            for pe, val in _nz3_connected(sub).items():
-                values[inv[pe]] = val
-    return _verified_nz(GroupFlow(g, 3, values))
+    values = solve_per_component(g, lambda sub, _: _nz3_connected(sub))
+    return verified_nz_flow(GroupFlow(g, 3, values))
 
 
 def _nz3_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
@@ -601,6 +560,8 @@ def find_automorphism(
 def apply_automorphism(flow: GroupFlow, auto: GF2Automorphism) -> GroupFlow:
     """Rename flow values through an automorphism; k=2 flows embed into Z_2^3."""
     out = GroupFlow(flow.graph, 3, {e: auto.apply(v) for e, v in flow.values.items()})
-    check = verify_flow(out)
-    assert check.conserving == verify_flow(flow).conserving
+    verify_or_raise(
+        verify_flow(out).conserving == verify_flow(flow).conserving,
+        "renaming the values changed whether the flow is conserved",
+    )
     return out

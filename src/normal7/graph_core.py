@@ -8,7 +8,7 @@ the vertex range (labels above it shift down by one).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class Graph6Error(ValueError):
@@ -184,23 +184,12 @@ class PseudoGraph:
         return g
 
     def is_connected(self) -> bool:
-        if self._n == 0:
-            return True
-        seen = [False] * self._n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for eid in self._inc[v]:
-                w = self.other_endpoint(eid, v)
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self._n
+        return len(self.connected_components()) <= 1
 
-    def connected_components(self) -> List[List[int]]:
+    def connected_components(self, skip: Iterable[int] = ()) -> List[List[int]]:
+        """Vertex lists of the components, each sorted, ordered by smallest
+        vertex.  Edges in skip are not crossed."""
+        banned = set(skip)
         seen = [False] * self._n
         comps: List[List[int]] = []
         for s in range(self._n):
@@ -212,7 +201,10 @@ class PseudoGraph:
             while stack:
                 v = stack.pop()
                 for eid in self._inc[v]:
-                    w = self.other_endpoint(eid, v)
+                    if eid in banned:
+                        continue
+                    a, b = self._edges[eid]  # type: ignore[misc]
+                    w = b if a == v else a
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)
@@ -325,6 +317,28 @@ def remove_vertices(
             continue
         emap[eid] = h.add_edge(vmap[u], vmap[v])
     return h, vmap, emap
+
+
+def solve_per_component(
+    g: PseudoGraph, solve: Callable[[PseudoGraph, Dict[int, int]], Mapping[int, int]]
+) -> Dict[int, int]:
+    """Run solve on each connected component and merge its per-edge answers
+    under g's edge ids.
+
+    solve receives the component, cut out by remove_vertices, and the edge
+    map from g into it.  A connected g is passed as it is, with the identity
+    map, and is not copied.
+    """
+    comps = g.connected_components()
+    if len(comps) <= 1:
+        return dict(solve(g, {e: e for e in g.edge_ids()}))
+    out: Dict[int, int] = {}
+    for comp in comps:
+        sub, _, emap = remove_vertices(g, set(g.vertices()) - set(comp))
+        inv = {loc: orig for orig, loc in emap.items()}
+        for loc, val in solve(sub, emap).items():
+            out[inv[loc]] = val
+    return out
 
 
 # -- graph6 ------------------------------------------------------------------

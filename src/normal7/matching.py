@@ -4,11 +4,11 @@ the contract-then-lift flow machinery for cubic graphs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from normal7.cuts_reductions import find_bridges
-from normal7.flows_trees import GroupFlow, verify_flow
-from normal7.graph_core import PseudoGraph, contract_edge_set
+from normal7.flows_trees import GroupFlow, verified_nz_flow, verify_flow
+from normal7.graph_core import PseudoGraph, contract_edge_set, verify_or_raise
 
 
 class MatchingError(Exception):
@@ -93,6 +93,11 @@ def perfect_matching_through(g: PseudoGraph, e: int) -> PerfectMatching:
     covered = [w for eid in chosen for w in g.endpoints(eid)]
     assert sorted(covered) == list(g.vertices())
     return PerfectMatching(frozenset(chosen))
+
+
+def matched_edge_at(g: PseudoGraph, matching: Iterable[int]) -> Dict[int, int]:
+    """The matching edge at each vertex it covers."""
+    return {w: eid for eid in matching for w in g.endpoints(eid)}
 
 
 def _check_perfect_matching(g: PseudoGraph, m: PerfectMatching) -> None:
@@ -182,20 +187,13 @@ def lift_flow(
         return val
 
     g = lift.g
-    values: Dict[int, int] = {}
-    match_at: Dict[int, int] = {}
-    for eid in lift.edge_map:
-        for w in g.endpoints(eid):
-            match_at[w] = eid
-        values[eid] = theta.values[lift.edge_map[eid]]
+    match_at = matched_edge_at(g, lift.edge_map)
+    values = {eid: theta.values[h_eid] for eid, h_eid in lift.edge_map.items()}
     for idx, cyc in enumerate(lift.cycles):
         values[cyc.edges[0]] = seed(idx)
         for i in range(1, len(cyc)):
             shared = cyc.vertices[i]
             values[cyc.edges[i]] = values[cyc.edges[i - 1]] ^ values[match_at[shared]]
         closing = values[cyc.edges[-1]] ^ values[match_at[cyc.vertices[0]]]
-        assert closing == values[cyc.edges[0]]
-    flow = GroupFlow(g, 3, values)
-    out = verify_flow(flow)
-    assert out.conserving and out.nowhere_zero
-    return flow
+        verify_or_raise(closing == values[cyc.edges[0]], "a lifted cycle does not close up")
+    return verified_nz_flow(GroupFlow(g, 3, values))

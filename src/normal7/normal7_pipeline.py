@@ -8,7 +8,9 @@ three layers, each exposed on its own:
     nowhere-zero Z_2^3 flows on bridgeless cubic graphs whose induced
     colorings pin the status of named edges, recursing through 2- and
     3-edge-cuts down to a cyclically-4-edge-connected base solved by
-    contracting the 2-factor of a perfect matching.
+    contracting the 2-factor of a perfect matching.  The piece flows of a
+    cut are renamed by a Z_2^3 automorphism until they agree on the arising
+    edges, then spliced back (_splice_cut_flows; _splice_3cut for 3-cuts).
   * color_pendant_block colors the gadget obtained from a bridgeless cubic
     graph by subdividing one edge and hanging a pendant off the new vertex;
     every edge except the pendant bridge ends up poor or rich.  The case
@@ -18,8 +20,14 @@ three layers, each exposed on its own:
     normal7_coloring splits an arbitrary simple cubic graph at its bridges,
     colors each piece, and glues along the bridges with palette renamings.
 
-Every operation re-verifies its output before returning.  Callers may pass
-a trace list; each case decision appends a replayable CertificateStep.
+A disconnected input is solved one component at a time through
+graph_core.solve_per_component.  Every operation re-verifies its output
+before returning, with one check per kind of result: flows through
+flows_trees.verified_nz_flow and the pinned edge statuses, colorings through
+_verified_normal, which also returns the status report.  A failed check
+raises VerificationError; for a coloring it is a PipelineVerificationError
+carrying the steps so far.  Callers may pass a trace list; each case
+decision appends a replayable CertificateStep.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import enum
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from normal7.coloring_solver import (
     EdgeColoring,
@@ -59,16 +67,23 @@ from normal7.flows_trees import (
     flow_three_edges_distinct,
     flow_two_edges_equal,
     nz_z23_flow,
-    verify_flow,
+    verified_nz_flow,
 )
 from normal7.graph_core import (
     PseudoGraph,
     VerificationError,
     attach_pendant,
     remove_vertices,
+    solve_per_component,
     subdivide_edge,
+    verify_or_raise,
 )
-from normal7.matching import contract_two_factor, lift_flow, perfect_matching_through
+from normal7.matching import (
+    contract_two_factor,
+    lift_flow,
+    matched_edge_at,
+    perfect_matching_through,
+)
 
 
 class CaseTag(enum.Enum):
@@ -198,35 +213,57 @@ def _splice_cut_flows(
     """Rebuild a flow on g from aligned piece flows.
 
     The piece flows must already agree on corresponding arising edges; each
-    cut edge of g takes that common value.
+    cut edge of g takes that common value.  The single arising edge of a
+    2-cut piece stands for both cut edges.
     """
     values: Dict[int, int] = {}
     for orig, pe in pa.emap.items():
         values[orig] = fa.values[pe]
     for orig, pe in pb.emap.items():
         values[orig] = fb.values[pe]
-    if len(pa.arising) == 1:
-        va = fa.values[pa.arising[0]]
-        vb = fb.values[pb.arising[0]]
-        assert va == vb, "piece flows disagree on the arising edge"
-        for ce in cut_eids:
-            values[ce] = va
-    else:
-        for ce, ea, eb in zip(cut_eids, pa.arising, pb.arising):
-            va, vb = fa.values[ea], fb.values[eb]
-            assert va == vb, "piece flows disagree on an arising edge"
-            values[ce] = va
-    flow = GroupFlow(g, 3, values)
-    check = verify_flow(flow)
-    if not (check.conserving and check.nowhere_zero):
-        raise PipelineVerificationError("spliced flow is not nowhere-zero conserving")
-    return flow
+    arising = list(zip(pa.arising, pb.arising))
+    if len(arising) == 1:
+        arising *= len(cut_eids)
+    for ce, (ea, eb) in zip(cut_eids, arising):
+        verify_or_raise(
+            fa.values[ea] == fb.values[eb], "piece flows disagree on an arising edge"
+        )
+        values[ce] = fa.values[ea]
+    return verified_nz_flow(GroupFlow(g, 3, values))
+
+
+def _splice_3cut(
+    g: PseudoGraph,
+    cut: EdgeCut,
+    px: ReductionPiece,
+    fx: GroupFlow,
+    py: ReductionPiece,
+    fy: GroupFlow,
+) -> GroupFlow:
+    """Rename fy so that its first two arising values match fx's, then splice
+    across the 3-cut; the third slot follows from conservation at the hubs."""
+    auto = automorphism_extending(
+        tuple(fy.values[a] for a in py.arising[:2]),
+        tuple(fx.values[a] for a in px.arising[:2]),
+    )
+    return _splice_cut_flows(g, cut.pair, px, fx, py, apply_automorphism(fy, auto))
 
 
 def _aligned(flow: GroupFlow, pairs=(), set_pairs=()) -> GroupFlow:
     auto = find_automorphism(pairs=pairs, set_pairs=set_pairs)
-    assert auto is not None, "no value automorphism satisfies the constraints"
+    verify_or_raise(auto is not None, "no value automorphism satisfies the constraints")
     return apply_automorphism(flow, auto)
+
+
+def _verified_statuses(flow: GroupFlow, status: str, *marked: int) -> GroupFlow:
+    """The flow, once it is nowhere-zero and conserving and every marked edge
+    has the given status."""
+    verified_nz_flow(flow)
+    verify_or_raise(
+        all(flow_edge_status(flow, d) == status for d in marked),
+        f"a constructed flow fails to make its marked edges {status}",
+    )
+    return flow
 
 
 def _vertex_disjoint_2_cuts(g: PseudoGraph) -> Tuple[List[EdgeCut], bool]:
@@ -255,26 +292,13 @@ def flow_edge_poor(g: PseudoGraph, e: int) -> GroupFlow:
     """
     _check_bridgeless_cubic(g, "flow_edge_poor")
     g.endpoints(e)
-    if g.is_connected():
-        flow = _flow_edge_poor_connected(g, e)
-    else:
-        values: Dict[int, int] = {}
-        for comp in g.connected_components():
-            sub, _, emap = remove_vertices(g, set(g.vertices()) - set(comp))
-            inv = {loc: orig for orig, loc in emap.items()}
-            if e in emap:
-                f = _flow_edge_poor_connected(sub, emap[e])
-            else:
-                f = nz_z23_flow(sub)
-            for loc, val in f.values.items():
-                values[inv[loc]] = val
-        flow = GroupFlow(g, 3, values)
-    check = verify_flow(flow)
-    if not (check.conserving and check.nowhere_zero):
-        raise PipelineVerificationError("flow_edge_poor produced an invalid flow")
-    if flow_edge_status(flow, e) != "poor":
-        raise PipelineVerificationError("flow_edge_poor failed to make the edge poor")
-    return flow
+
+    def solve(sub: PseudoGraph, emap: Dict[int, int]) -> Dict[int, int]:
+        if e in emap:
+            return _flow_edge_poor_connected(sub, emap[e]).values
+        return nz_z23_flow(sub).values
+
+    return _verified_statuses(GroupFlow(g, 3, solve_per_component(g, solve)), "poor", e)
 
 
 def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
@@ -328,24 +352,10 @@ def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
             j = cut.pair.index(e)
             fa = _flow_edge_poor_connected(pa.graph, pa.arising[j])
             fb = _flow_edge_poor_connected(pb.graph, pb.arising[j])
-            auto = automorphism_extending(
-                (fb.values[pb.arising[0]], fb.values[pb.arising[1]]),
-                (fa.values[pa.arising[0]], fa.values[pa.arising[1]]),
-            )
-            fb = apply_automorphism(fb, auto)
-            # the third slot follows from conservation at the hub
-            assert fb.values[pb.arising[2]] == fa.values[pa.arising[2]]
-            return _splice_cut_flows(g, cut.pair, pa, fa, pb, fb)
+            return _splice_3cut(g, cut, pa, fa, pb, fb)
         px, py = (pa, pb) if e in pa.emap else (pb, pa)
         fx = _flow_edge_poor_connected(px.graph, px.emap[e])
-        fy = nz_z23_flow(py.graph)
-        auto = automorphism_extending(
-            (fy.values[py.arising[0]], fy.values[py.arising[1]]),
-            (fx.values[px.arising[0]], fx.values[px.arising[1]]),
-        )
-        fy = apply_automorphism(fy, auto)
-        assert fy.values[py.arising[2]] == fx.values[px.arising[2]]
-        return _splice_cut_flows(g, cut.pair, px, fx, py, fy)
+        return _splice_3cut(g, cut, px, fx, py, nz_z23_flow(py.graph))
 
     # cyclically 4-edge-connected base: route a perfect matching through an
     # edge adjacent to e; contracting the complementary 2-factor sends e's
@@ -356,10 +366,7 @@ def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
     )
     gp = adjacent[0]
     matching = perfect_matching_through(g, gp)
-    m_at: Dict[int, int] = {}
-    for d in matching.edges:
-        for vv in g.endpoints(d):
-            m_at[vv] = d
+    m_at = matched_edge_at(g, matching.edges)
     lift = contract_two_factor(g, matching)
     theta = flow_two_edges_equal(
         lift.h, lift.edge_map[m_at[u]], lift.edge_map[m_at[w]]
@@ -394,15 +401,7 @@ def flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
         raise ValueError("flow_two_adjacent_rich requires 3-edge-connectivity")
     assert g.is_simple()
     assert len(shared) == 1
-    flow = _flow_two_adjacent_rich(g, e, f)
-    check = verify_flow(flow)
-    if not (check.conserving and check.nowhere_zero):
-        raise PipelineVerificationError("flow_two_adjacent_rich: invalid flow")
-    if flow_edge_status(flow, e) != "rich" or flow_edge_status(flow, f) != "rich":
-        raise PipelineVerificationError(
-            "flow_two_adjacent_rich failed to make both edges rich"
-        )
-    return flow
+    return _verified_statuses(_flow_two_adjacent_rich(g, e, f), "rich", e, f)
 
 
 def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
@@ -421,14 +420,7 @@ def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
         px, py = (pa, pb) if e in pa.emap else (pb, pa)
         assert f in px.emap
         fx = _recurse_rich_piece(px.graph, px.emap[e], px.emap[f])
-        fy = nz_z23_flow(py.graph)
-        auto = automorphism_extending(
-            (fy.values[py.arising[0]], fy.values[py.arising[1]]),
-            (fx.values[px.arising[0]], fx.values[px.arising[1]]),
-        )
-        fy = apply_automorphism(fy, auto)
-        assert fy.values[py.arising[2]] == fx.values[px.arising[2]]
-        return _splice_cut_flows(g, cut.pair, px, fx, py, fy)
+        return _splice_3cut(g, cut, px, fx, py, nz_z23_flow(py.graph))
     cr = next(iter(crossing))
     other = f if cr == e else e
     v = (set(g.endpoints(e)) & set(g.endpoints(f))).pop()
@@ -437,13 +429,7 @@ def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     assert other in px.emap
     fx = _recurse_rich_piece(px.graph, px.arising[j], px.emap[other])
     fy = _flow_edge_poor_connected(py.graph, py.arising[j])
-    auto = automorphism_extending(
-        (fy.values[py.arising[0]], fy.values[py.arising[1]]),
-        (fx.values[px.arising[0]], fx.values[px.arising[1]]),
-    )
-    fy = apply_automorphism(fy, auto)
-    assert fy.values[py.arising[2]] == fx.values[px.arising[2]]
-    flow = _splice_cut_flows(g, cut.pair, px, fx, py, fy)
+    flow = _splice_3cut(g, cut, px, fx, py, fy)
     assert flow_edge_status(flow, e) == "rich"
     assert flow_edge_status(flow, f) == "rich"
     return flow
@@ -467,10 +453,7 @@ def _rich_pair_base(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     assert e not in matching.edges and f not in matching.edges
     a = _far_endpoint(g, e, v)
     b = _far_endpoint(g, f, v)
-    m_at: Dict[int, int] = {}
-    for d in matching.edges:
-        for vv in g.endpoints(d):
-            m_at[vv] = d
+    m_at = matched_edge_at(g, matching.edges)
     m_e, m_f = m_at[a], m_at[b]
     assert m_e != gpp and m_f != gpp
     lift = contract_two_factor(g, matching)
@@ -567,17 +550,7 @@ def _finish_block_coloring(
     colors: Dict[int, int],
     steps: List[CertificateStep],
 ) -> EdgeColoring:
-    gp = block.g_prime
-    missing = [d for d in gp.edge_ids() if d not in colors]
-    assert not missing, f"uncolored gadget edges: {missing}"
-    assert set(colors) == set(gp.edge_ids())
-    col = EdgeColoring(gp, 7, dict(colors), exempt=frozenset({block.bridge}))
-    ok, _ = is_normal(col)
-    if not ok:
-        raise PipelineVerificationError(
-            "pendant-block coloring failed verification", steps
-        )
-    return col
+    return _verified_normal(block.g_prime, colors, steps, frozenset({block.bridge}))[0]
 
 
 # --- case: 3-edge-connected ------------------------------------------------
@@ -676,21 +649,6 @@ def _swap_rails(lad: Ladder) -> Ladder:
     )
 
 
-def _component_vertices(g: PseudoGraph, banned_edges: Set[int], start: int) -> Set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for d in g.incident(v):
-            if d in banned_edges:
-                continue
-            nxt = _far_endpoint(g, d, v)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def _side_pieces(
     g: PseudoGraph, lad: Ladder
 ) -> Tuple[ReductionPiece, ReductionPiece]:
@@ -712,12 +670,12 @@ def _case_ladder_avoids_e(
     block: PendantBlockInput, lad: Ladder, steps: List[CertificateStep]
 ) -> EdgeColoring:
     g, e = block.g, block.e
-    comp0 = _component_vertices(g, set(lad.edges()), lad.u_rail[0])
-    endpoints = set(g.endpoints(e))
-    if not endpoints <= comp0:
+    # e avoids the ladder, so its endpoints stay together once the ladder's
+    # edges are gone; orient the ladder to start on their side
+    side = next(c for c in g.connected_components(skip=lad.edges()) if block.u in c)
+    if lad.u_rail[0] not in side:
         lad = _flip_ladder(lad)
-        comp0 = _component_vertices(g, set(lad.edges()), lad.u_rail[0])
-        assert endpoints <= comp0
+        assert lad.u_rail[0] in side
     pa, pb, _ = two_cut_reduction(g, lad.rail_pair(0), strict=True)
     p_h = pa if lad.u_rail[0] in pa.vmap else pb
     p_rest = pb if p_h is pa else pa
@@ -792,20 +750,13 @@ def _rich_end_flow(
     w_hat = piece.vmap[w_orig]
     arising = piece.arising[0]
     o1, o2 = _others_at(h, w_hat, arising)
-    theta = _checked_rich_pair(h, o1, o2)
+    theta = flow_two_adjacent_rich(h, o1, o2)
     near = {theta.values[arising], theta.values[o1], theta.values[o2]}
     for d, vv in ((o1, _far_endpoint(h, o1, w_hat)), (o2, _far_endpoint(h, o2, w_hat))):
         near.update(_flow_values_at(theta, vv, d))
     absent = set(range(1, 8)) - near
     assert len(absent) == 1, "rich end flow must miss exactly one value nearby"
     return theta, theta.values[arising], absent.pop(), arising
-
-
-def _checked_rich_pair(h: PseudoGraph, o1: int, o2: int) -> GroupFlow:
-    assert not find_bridges(h)
-    assert not find_2_edge_cuts(h)
-    assert h.num_vertices >= 4
-    return flow_two_adjacent_rich(h, o1, o2)
 
 
 def _align_second_end(
@@ -954,7 +905,7 @@ def _case_initial_edge(
     w_hat = p_h2.vmap[lad.u_rail[m]]
     a2 = p_h2.arising[0]
     ew1, ew2 = _others_at(p_h2.graph, w_hat, a2)
-    theta2 = _checked_rich_pair(p_h2.graph, ew1, ew2)
+    theta2 = flow_two_adjacent_rich(p_h2.graph, ew1, ew2)
     # frame at the far endpoint of e: x_f on the third edge's side, y_f and
     # z_f so that the arising edge carries y_f ^ z_f
     s1 = set(
@@ -1068,13 +1019,10 @@ def color_degree13_graph(
             raise ValueError("every bridge must be a pendant edge")
 
     if not g.is_connected():
-        colors: Dict[int, int] = {}
-        for comp in g.connected_components():
-            sub, _, emap = remove_vertices(g, set(g.vertices()) - set(comp))
-            rec = color_degree13_graph(sub, steps)
-            for orig, loc in emap.items():
-                colors[orig] = rec.colors[loc]
-        return _verified_normal(g, colors, steps)
+        colors = solve_per_component(
+            g, lambda sub, _: color_degree13_graph(sub, steps).colors
+        )
+        return _verified_normal(g, colors, steps)[0]
 
     if g.num_vertices == 2 and len(g.edge_ids()) == 1:
         raise ValueError(
@@ -1086,13 +1034,7 @@ def color_degree13_graph(
     t = len(pendants)
 
     if t == 0:
-        theta = nz_z23_flow(g)
-        col = coloring_from_flow(theta)
-        _record(steps, CaseTag.ManyPendant_t0, g)
-        ok, _ = is_normal(col)
-        if not ok:
-            raise PipelineVerificationError("flow coloring not normal", steps)
-        return col
+        return _flow_coloring(g, steps)
 
     def attach_vertex(d: int) -> int:
         a, b = g.endpoints(d)
@@ -1107,7 +1049,7 @@ def color_degree13_graph(
         assert t == 3 and g.num_vertices == 4
         _record(steps, CaseTag.Triangle, g)
         colors = {d: i + 1 for i, d in enumerate(pendants)}
-        return _verified_normal(g, colors, steps)
+        return _verified_normal(g, colors, steps)[0]
     assert len(set(attach)) == t
 
     if t == 1:
@@ -1125,7 +1067,7 @@ def color_degree13_graph(
         colors = {orig: theta.values[loc] for orig, loc in emap.items()}
         colors[pendants[0]] = theta.values[ne]
         colors[pendants[1]] = theta.values[ne]
-        return _verified_normal(g, colors, steps)
+        return _verified_normal(g, colors, steps)[0]
 
     # t >= 3: merge two pendant edges at non-adjacent attachments
     pair = None
@@ -1148,7 +1090,7 @@ def color_degree13_graph(
             av = attach_vertex(d)
             here = {colors[x] for x in g.incident(av) if x != d}
             colors[d] = ({1, 2, 3} - here).pop()
-        return _verified_normal(g, colors, steps)
+        return _verified_normal(g, colors, steps)[0]
 
     i, j = pair
     u, v = attach[i], attach[j]
@@ -1163,7 +1105,7 @@ def color_degree13_graph(
     colors = {orig: rec.colors[loc] for orig, loc in emap.items()}
     colors[pendants[i]] = rec.colors[ne]
     colors[pendants[j]] = rec.colors[ne]
-    return _verified_normal(g, colors, steps)
+    return _verified_normal(g, colors, steps)[0]
 
 
 def _suppress_single_pendant(
@@ -1187,18 +1129,33 @@ def _suppress_single_pendant(
     colors[e1] = rec.colors[sub.half_u]
     colors[e2] = rec.colors[sub.half_w]
     colors[pendant] = rec.colors[sub.bridge]
-    return _verified_normal(g, colors, steps)
+    return _verified_normal(g, colors, steps)[0]
 
 
 def _verified_normal(
-    g: PseudoGraph, colors: Dict[int, int], steps: List[CertificateStep]
-) -> EdgeColoring:
-    assert set(colors) == set(g.edge_ids())
-    col = EdgeColoring(g, 7, colors, exempt=frozenset())
-    ok, _ = is_normal(col)
+    g: PseudoGraph,
+    colors: Dict[int, int],
+    steps: List[CertificateStep],
+    exempt: FrozenSet[int] = frozenset(),
+) -> Tuple[EdgeColoring, Dict[int, EdgeStatus]]:
+    """The 7-coloring of g by colors with its status report, once is_normal
+    finds every edge outside exempt poor or rich."""
+    if set(colors) != set(g.edge_ids()):
+        raise PipelineVerificationError(
+            "assembled coloring does not cover exactly the edge set", steps
+        )
+    col = EdgeColoring(g, 7, colors, exempt=exempt)
+    ok, report = is_normal(col)
     if not ok:
         raise PipelineVerificationError("assembled coloring is not normal", steps)
-    return col
+    return col, report
+
+
+def _flow_coloring(g: PseudoGraph, steps: List[CertificateStep]) -> EdgeColoring:
+    """Color a bridgeless graph straight from a nowhere-zero Z_2^3 flow."""
+    colors = coloring_from_flow(nz_z23_flow(g)).colors
+    _record(steps, CaseTag.ManyPendant_t0, g)
+    return _verified_normal(g, colors, steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1223,16 +1180,8 @@ class GlueForest:
 def build_glue_forest(g: PseudoGraph) -> GlueForest:
     bridges = tuple(find_bridges(g))
     banned = set(bridges)
-    comp_of: Dict[int, int] = {}
-    components: List[Tuple[int, ...]] = []
-    for v in g.vertices():
-        if v in comp_of:
-            continue
-        verts = _component_vertices(g, banned, v)
-        idx = len(components)
-        components.append(tuple(sorted(verts)))
-        for w in verts:
-            comp_of[w] = idx
+    components = [tuple(c) for c in g.connected_components(skip=banned)]
+    comp_of = {v: idx for idx, comp in enumerate(components) for v in comp}
     # a vertex of a cubic graph lies on 0, 1, or 3 bridges: a cycle through
     # it would need two non-bridge edges
     for v in g.vertices():
@@ -1268,13 +1217,7 @@ def normal7_coloring(
     if not g.is_simple():
         raise ValueError("normal7_coloring requires a simple graph")
     if not find_bridges(g):
-        theta = nz_z23_flow(g)
-        col = coloring_from_flow(theta)
-        _record(steps, CaseTag.ManyPendant_t0, g)
-        ok, _ = is_normal(col)
-        if not ok:
-            raise PipelineVerificationError("flow coloring not normal", steps)
-        return col
+        return _flow_coloring(g, steps)
 
     forest = build_glue_forest(g)
     banned = set(forest.bridges)
@@ -1386,10 +1329,10 @@ def normal7_coloring(
     for b in forest.bridges:
         assert b in bridge_color
         colors[b] = bridge_color[b]
-    col = _verified_normal(g, colors, steps)
+    col, report = _verified_normal(g, colors, steps)
     # the glue keeps the color sets at both ends of each bridge equal
-    ok, report = is_normal(col)
-    assert ok
-    for b in forest.bridges:
-        assert report[b] == EdgeStatus.POOR
+    verify_or_raise(
+        all(report[b] == EdgeStatus.POOR for b in forest.bridges),
+        "a glued bridge is not poor",
+    )
     return col

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from normal7 import cli, normal7_pipeline
 from normal7.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -15,6 +16,8 @@ from normal7.cli import (
     main,
     parse_graph_text,
 )
+from normal7.flows_trees import PackingError
+from normal7.matching import MatchingError
 
 K4_G6 = "C~"
 K4_EDGE_LIST = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -97,6 +100,20 @@ class TestColor:
         assert rc == EXIT_INPUT
         assert "error" in err
 
+    @pytest.mark.parametrize("exc_type", [ValueError, MatchingError, PackingError])
+    def test_a_pipeline_failure_is_internal(self, capsys, monkeypatch, exc_type):
+        def failing(g, trace):
+            normal7_pipeline._record(trace, normal7_pipeline.CaseTag.Glue, g)
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "normal7_coloring", failing)
+        rc, out, err = run(capsys, ["color"], stdin=K4_G6, monkeypatch=monkeypatch)
+        assert rc == EXIT_VERIFY and not out
+        assert f"{exc_type.__name__}: boom" in err
+        assert '"case": "Glue"' in err  # the steps recorded before the failure
+        rc, _, _ = run(capsys, ["color"], stdin="3 3\n0 1\n1 2\n2 0\n", monkeypatch=monkeypatch)
+        assert rc == EXIT_INPUT
+
 
 class TestExact:
     def test_k4(self, capsys, monkeypatch):
@@ -174,6 +191,28 @@ class TestCensus:
         rc, out, _ = run(capsys, ["census", str(path)])
         assert rc == code
         assert json.loads(out.splitlines()[-1])["failures"] == len(bad_lines)
+
+    @pytest.mark.parametrize(
+        "bad_lines, code",
+        [
+            ([], EXIT_INCONCLUSIVE),
+            (["broken line"], EXIT_INCONCLUSIVE),  # 3 outranks 2
+            (["A_"], EXIT_VERIFY),  # 4 outranks 3
+        ],
+    )
+    def test_a_budget_exhausted_exact_run_is_inconclusive(
+        self, capsys, tmp_path, bad_lines, code
+    ):
+        path = tmp_path / "list.g6"
+        path.write_text("\n".join([PETERSEN_G6, *bad_lines]) + "\n")
+        rc, out, _ = run(
+            capsys, ["census", str(path), "--exact-up-to", "10", "--budget", "2"]
+        )
+        assert rc == code
+        lines = [json.loads(ln) for ln in out.splitlines()]
+        pet_rec, summary = lines[0], lines[-1]
+        assert pet_rec["inconclusive"] is True and pet_rec["exact_chi"] is None
+        assert summary["inconclusive"] == 1 and summary["failures"] == len(bad_lines)
 
     def test_census_line_isolates_failures(self):
         rec = census_line("garbage!!", exact_up_to=0, budget=None)

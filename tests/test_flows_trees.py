@@ -5,10 +5,13 @@ assignments or over the cycle space); construction outputs are then checked
 against the same predicates.
 """
 
+import random
 from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normal7 import flows_trees
 from normal7.flows_trees import (
@@ -35,6 +38,7 @@ from normal7.flows_trees import (
     verify_flow,
 )
 from normal7.graph_core import PseudoGraph, VerificationError
+from normal7.matching import contract_two_factor, lift_flow, perfect_matching_through
 from tests.corpora import (
     doubled_cycle,
     fig6_graph,
@@ -44,6 +48,7 @@ from tests.corpora import (
     long_ladder_graph,
     petersen,
     prism,
+    random_pseudograph,
     theta_graph,
     with_loop_at,
 )
@@ -170,6 +175,30 @@ class TestPacking:
 
     def test_deterministic(self):
         assert pack_two_spanning_trees(k5()) == pack_two_spanning_trees(k5())
+
+    def brute_force_packs(self, g):
+        """Whether any two disjoint spanning trees exist, by trying every
+        pair of (n-1)-edge subsets; the reference the packer must match."""
+        ids = [e for e in g.edge_ids() if not g.is_loop(e)]
+        size = g.num_vertices - 1
+        trees = [set(t) for t in combinations(ids, size) if self.is_spanning_tree(g, t)]
+        return any(not (t1 & t2) for t1, t2 in combinations(trees, 2)) or (
+            size == 0 and bool(trees)
+        )
+
+    @given(st.integers(1, 7), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_packs_exactly_when_brute_force_does(self, n, m, seed):
+        # matroid-union augmentation finds a maximum packing, so no fallback
+        # search is needed when it comes up short
+        g = random_pseudograph(random.Random(seed), n, m)
+        if self.brute_force_packs(g):
+            tp = pack_two_spanning_trees(g)
+            assert not (tp.t1 & tp.t2)
+            assert self.is_spanning_tree(g, tp.t1) and self.is_spanning_tree(g, tp.t2)
+        else:
+            with pytest.raises(PackingError):
+                pack_two_spanning_trees(g)
 
 
 class TestParitySubgraph:
@@ -386,6 +415,25 @@ class TestOutputChecks:
         monkeypatch.setattr(flows_trees, "verify_flow", lambda flow: FlowCheck(True, False))
         with pytest.raises(VerificationError, match="not nowhere-zero conserving"):
             build()
+
+    def test_a_renaming_that_breaks_conservation_raises(self, monkeypatch):
+        flow = nz_z23_flow(k4())
+        monkeypatch.setattr(flows_trees, "verify_flow", lambda f: FlowCheck(f is flow, True))
+        with pytest.raises(VerificationError, match="changed whether the flow is conserved"):
+            apply_automorphism(flow, all_automorphisms()[5])
+
+    def test_a_rejected_lifted_flow_raises(self, monkeypatch):
+        g = petersen()
+        lift = contract_two_factor(g, perfect_matching_through(g, 0))
+        theta = flow_two_edges_equal(lift.h, *lift.h.edge_ids()[:2])
+        real = flows_trees.verify_flow
+        # the contracted Z_2^2 flow passes its input check; the lifted
+        # Z_2^3 flow is rejected
+        monkeypatch.setattr(
+            flows_trees, "verify_flow", lambda f: real(f) if f.k == 2 else FlowCheck(True, False)
+        )
+        with pytest.raises(VerificationError, match="not nowhere-zero conserving"):
+            lift_flow(lift, theta)
 
 
 class TestAutomorphisms:

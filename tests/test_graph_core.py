@@ -19,6 +19,7 @@ from normal7.graph_core import (
     parse_edge_list,
     parse_graph6,
     remove_vertices,
+    solve_per_component,
     subdivide_edge,
     write_dot,
     write_edge_list,
@@ -74,6 +75,10 @@ class TestContainer:
         assert not g.is_connected()
         assert g.connected_components() == [[0, 1, 2], [3, 4]]
         assert PseudoGraph(0).is_connected()
+        # skipped edges are not crossed; lists stay sorted, by smallest vertex
+        c5 = PseudoGraph.from_edges(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])
+        assert c5.connected_components(skip=(1, 3)) == [[0, 2, 3], [1, 4]]
+        assert c5.connected_components(skip=[0, 3]) == [[0, 2], [1, 3, 4]]
 
     def test_from_labeled_edges_preserves_ids(self):
         g = PseudoGraph.from_labeled_edges(3, [(5, 0, 1), (2, 1, 2)])
@@ -124,6 +129,21 @@ class TestSurgery:
         assert h.num_edges == 3
         assert all(h.is_loop(e) for e in h.edge_ids())
         assert set(emap) == {3, 4, 5}
+
+    def test_solve_per_component(self):
+        seen = []
+
+        def solve(sub, emap):
+            seen.append((sub, emap))
+            return {loc: sub.num_vertices for loc in emap.values()}
+
+        g = PseudoGraph.from_edges(5, [(3, 4), (0, 1), (1, 2), (2, 0)])
+        assert solve_per_component(g, solve) == {0: 2, 1: 3, 2: 3, 3: 3}
+        assert [sorted(emap) for _, emap in seen] == [[1, 2, 3], [0]]
+        seen.clear()
+        tri = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        assert solve_per_component(tri, solve) == {0: 3, 1: 3, 2: 3}
+        assert seen[0][0] is tri and seen[0][1] == {0: 0, 1: 1, 2: 2}  # not copied
 
     def test_remove_vertices_maps(self):
         g = PseudoGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -3,10 +3,11 @@ degree-1/3 recursion, bridge glue, and the replay certificates."""
 
 import pytest
 
+from normal7 import normal7_pipeline
 from normal7.coloring_solver import EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, ladder_containing
 from normal7.flows_trees import flow_edge_status, verify_flow
-from normal7.graph_core import PseudoGraph, attach_pendant, subdivide_edge
+from normal7.graph_core import PseudoGraph, VerificationError, attach_pendant, subdivide_edge
 from normal7.normal7_pipeline import (
     CaseTag,
     CertificateStep,
@@ -439,3 +440,28 @@ class TestGlueForest:
         forest = build_glue_forest(petersen())
         assert len(forest.components) == 1
         assert not forest.bridges
+
+
+class TestOutputChecks:
+    """Checks that guard the assembled flows and colorings raise, so python -O
+    keeps them."""
+
+    def test_no_aligning_automorphism_raises(self, monkeypatch):
+        monkeypatch.setattr(normal7_pipeline, "find_automorphism", lambda **kw: None)
+        with pytest.raises(VerificationError, match="no value automorphism"):
+            flow_edge_poor(fig6_graph(), 0)
+
+    def test_piece_flows_that_disagree_on_a_cut_raise(self, monkeypatch):
+        # skip the renaming that lines the second piece up with the first
+        monkeypatch.setattr(normal7_pipeline, "apply_automorphism", lambda flow, auto: flow)
+        with pytest.raises(VerificationError, match="disagree on an arising edge"):
+            flow_edge_poor(prism(), 0)
+
+    def test_a_bridge_left_rich_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            normal7_pipeline,
+            "is_normal",
+            lambda col: (True, {d: EdgeStatus.RICH for d in col.graph.edge_ids()}),
+        )
+        with pytest.raises(VerificationError, match="glued bridge is not poor"):
+            normal7_coloring(two_bridge_chain())
