@@ -8,15 +8,16 @@ swept.  A certificate reports "holds" only when the sweep finished and no
 counterexample was found; an exhausted search budget yields "inconclusive",
 never a silent pass.
 
-The named graphs the claims quantify over live in a small registry so tests
-and the command line can refer to them by name.
+The fixed graphs the claims quantify over are built by the small functions
+below (k4_graph, k33_graph, double_gadget_graph, rung_lobes_graph); the
+command line names claims, not graphs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from normal7.coloring_solver import (
     EdgeColoring,
@@ -26,21 +27,11 @@ from normal7.coloring_solver import (
     enumerate_normal_colorings,
 )
 from normal7.cuts_reductions import cycle_space_labels, find_bridges
-from normal7.flows_trees import GroupFlow, flow_edge_status, verify_flow
 from normal7.graph_core import PseudoGraph
 
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class NamedGraph:
-    """A registry entry: a graph plus a structural description."""
-
-    name: str
-    graph: PseudoGraph
-    note: str
 
 
 @dataclass
@@ -81,7 +72,7 @@ class Certificate:
         )
 
 
-# -- registry ------------------------------------------------------------------
+# -- graphs ----------------------------------------------------------------------
 
 
 def k4_graph() -> PseudoGraph:
@@ -90,17 +81,6 @@ def k4_graph() -> PseudoGraph:
 
 def k33_graph() -> PseudoGraph:
     return PseudoGraph.from_edges(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
-
-
-def theta_graph() -> PseudoGraph:
-    return PseudoGraph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
-
-
-def petersen_graph() -> PseudoGraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    return PseudoGraph.from_edges(10, outer + inner + spokes)
 
 
 def gadget_block_edges(base: int) -> List[Tuple[int, int]]:
@@ -120,11 +100,6 @@ def gadget_block_edges(base: int) -> List[Tuple[int, int]]:
         (b + 2, b + 4),
         (b + 3, b + 4),
     ]
-
-
-def gadget_k_graph() -> PseudoGraph:
-    """One near-K4 block with a pendant edge at its degree-2 vertex."""
-    return PseudoGraph.from_edges(6, gadget_block_edges(0) + [(0, 5)])
 
 
 def double_gadget_graph() -> PseudoGraph:
@@ -149,35 +124,6 @@ def rung_lobes_graph() -> PseudoGraph:
             (3, 4), (3, 9), (8, 4), (8, 9), (4, 9),
         ],
     )
-
-
-def build_registry() -> Dict[str, NamedGraph]:
-    return {
-        "k4": NamedGraph("k4", k4_graph(), "complete graph on four vertices"),
-        "k33": NamedGraph("k33", k33_graph(), "complete bipartite graph on 3+3 vertices"),
-        "theta": NamedGraph("theta", theta_graph(), "two vertices joined by three parallel edges"),
-        "petersen": NamedGraph("petersen", petersen_graph(), "Petersen graph"),
-        "gadget_k": NamedGraph(
-            "gadget_k",
-            gadget_k_graph(),
-            "near-K4 block (K4 with one edge subdivided) plus a pendant edge at "
-            "its degree-2 vertex",
-        ),
-        "double_gadget": NamedGraph(
-            "double_gadget",
-            double_gadget_graph(),
-            "two near-K4 blocks joined by a bridge; cubic, 10 vertices",
-        ),
-        "rung_lobes": NamedGraph(
-            "rung_lobes",
-            rung_lobes_graph(),
-            "two K4-minus-an-edge lobes joined by a one-rung ladder; cubic, "
-            "exactly two 2-edge-cuts, rung edge id 7",
-        ),
-    }
-
-
-REGISTRY: Dict[str, NamedGraph] = build_registry()
 
 
 # -- cycle space sweeps ---------------------------------------------------------
@@ -219,18 +165,6 @@ def sweep_cycle_space(g: PseudoGraph, k: int = 3) -> Iterator[List[int]]:
         for i in per_bit[pos]:
             values[i] ^= step
         yield list(values)
-
-
-def cycle_space_size(g: PseudoGraph, k: int = 3) -> int:
-    _, chords = cycle_space_labels(g)
-    return (1 << k) ** len(chords)
-
-
-def flow_from_values(g: PseudoGraph, values: Sequence[int], k: int = 3) -> GroupFlow:
-    flow = GroupFlow(g, k, dict(zip(g.edge_ids(), values)))
-    check = verify_flow(flow)
-    assert check.conserving
-    return flow
 
 
 # -- gadget detection -----------------------------------------------------------

@@ -2,8 +2,9 @@
 or run the exhaustive certificates.
 
 Exit codes: 0 success, 2 bad input, 3 inconclusive within budget, 4 internal
-failure.  A census exits 2 if a line is not graph6, 3 if an exact run ran out
-of budget and 4 if any other line fails; the highest code wins.  Graphs are
+failure.  A census exits 2 if a line is not graph6 or not a simple cubic
+graph, 3 if an exact run ran out of budget and 4 if any other line fails; the
+highest code wins, and each failed line is also named on stderr.  Graphs are
 read as graph6 (one line, no spaces) or as an edge list ("n m" header, then
 one "u v" pair per line), from a file or from stdin.
 """
@@ -17,10 +18,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from normal7.certify import CLAIMS, run_claim
-from normal7.coloring_solver import EdgeColoring, exact_chi_n, is_normal
+from normal7.coloring_solver import exact_chi_n, is_normal, require_loopless_subcubic
 from normal7.cuts_reductions import find_bridges
 from normal7.flows_trees import PackingError
 from normal7.graph_core import (
@@ -137,7 +138,8 @@ def cmd_color(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     try:
         g = parse_graph_text(_read_text(args.input))
-    except InputError as exc:
+        require_loopless_subcubic(g)
+    except (InputError, ValueError) as exc:  # the ValueError is the solver's precondition
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -180,6 +182,7 @@ def census_line(line: str, exact_up_to: int, budget: Optional[int]) -> Dict[str,
     start = time.perf_counter()
     try:
         g = parse_graph6(line)
+        _require_simple_cubic(g)
         coloring = normal7_coloring(g)
         ok, _ = is_normal(coloring)
         exact_chi: Optional[int] = None
@@ -242,8 +245,12 @@ def cmd_census(args: argparse.Namespace) -> int:
         print(json.dumps(rec, sort_keys=True))
         if "error" in rec:
             failures += 1
-            bad_line = rec["error"].startswith(f"{Graph6Error.__name__}:")
+            bad_line = rec["error"].startswith(
+                (f"{Graph6Error.__name__}:", f"{InputError.__name__}:")
+            )
             rc = max(rc, EXIT_INPUT if bad_line else EXIT_VERIFY)
+            kind = "error" if bad_line else "internal failure"
+            print(f"{kind}: {rec['graph6']}: {rec['error']}", file=sys.stderr)
             continue
         if rec.get("inconclusive"):
             inconclusive += 1

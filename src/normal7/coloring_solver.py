@@ -10,18 +10,11 @@ always poor.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from normal7.flows_trees import GroupFlow
+from normal7.flows_trees import EdgeStatus, GroupFlow, union_status, values_at
 from normal7.graph_core import PseudoGraph
-
-
-class EdgeStatus(enum.Enum):
-    POOR = "poor"
-    RICH = "rich"
-    INVALID = "invalid"
 
 
 class ImproperColoringError(Exception):
@@ -54,27 +47,15 @@ class EnumerationResult:
     count: int
     nodes_explored: int
     timed_out: bool
-    aborted: bool
 
 
 def color_set(c: EdgeColoring, v: int) -> Set[int]:
     """Colors on the edges incident to v."""
-    out = set()
-    for eid in set(c.graph.incident(v)):
-        if eid not in c.colors:
-            raise ValueError(f"edge {eid} at vertex {v} is uncolored")
-        out.add(c.colors[eid])
-    return out
+    return values_at(c.graph, c.colors, v)
 
 
 def edge_status(c: EdgeColoring, e: int) -> EdgeStatus:
-    u, v = c.graph.endpoints(e)
-    union = color_set(c, u) | color_set(c, v)
-    if len(union) == 3:
-        return EdgeStatus.POOR
-    if len(union) == 5:
-        return EdgeStatus.RICH
-    return EdgeStatus.INVALID
+    return union_status(c.graph, c.colors, e)
 
 
 def is_normal(c: EdgeColoring) -> Tuple[bool, Dict[int, EdgeStatus]]:
@@ -110,6 +91,17 @@ def is_normal(c: EdgeColoring) -> Tuple[bool, Dict[int, EdgeStatus]]:
     return ok, report
 
 
+def require_loopless_subcubic(g: PseudoGraph) -> None:
+    """Raise ValueError unless g has no loop and no vertex of degree above 3,
+    the precondition of the solver and of reading a flow as a coloring."""
+    for eid in g.edge_ids():
+        if g.is_loop(eid):
+            raise ValueError("graph must be loopless")
+    for v in g.vertices():
+        if g.degree(v) > 3:
+            raise ValueError(f"maximum degree 3 required: vertex {v} has degree {g.degree(v)}")
+
+
 def coloring_from_flow(f: GroupFlow) -> EdgeColoring:
     """Read a nowhere-zero Z_2^3 flow as a 7-edge-coloring.
 
@@ -120,12 +112,7 @@ def coloring_from_flow(f: GroupFlow) -> EdgeColoring:
     g = f.graph
     if f.k != 3:
         raise ValueError("flow must be over Z_2^3")
-    for eid in g.edge_ids():
-        if g.is_loop(eid):
-            raise ValueError("graph must be loopless")
-    for v in g.vertices():
-        if g.degree(v) > 3:
-            raise ValueError("maximum degree 3 required")
+    require_loopless_subcubic(g)
     for eid, val in f.values.items():
         if val == 0:
             raise ValueError(f"flow value zero on edge {eid}")
@@ -189,12 +176,7 @@ def _canonical_colorings(
     """
     if k < 0:
         raise ValueError("palette size must be nonnegative")
-    for eid in g.edge_ids():
-        if g.is_loop(eid):
-            raise ValueError("graph must be loopless")
-    for v in g.vertices():
-        if g.degree(v) > 3:
-            raise ValueError("maximum degree 3 required")
+    require_loopless_subcubic(g)
 
     order = _dfs_edge_order(g)
     if not order:
@@ -343,15 +325,11 @@ def enumerate_normal_colorings(
     """
     stats = _Stats()
     count = 0
-    aborted = False
     for colors in _canonical_colorings(g, k, budget, stats):
         count += 1
-        if callback is not None:
-            keep = callback(EdgeColoring(g, k, colors, frozenset()))
-            if keep is False:
-                aborted = True
-                break
-    return EnumerationResult(count, stats.nodes, stats.timed_out, aborted)
+        if callback is not None and callback(EdgeColoring(g, k, colors, frozenset())) is False:
+            break
+    return EnumerationResult(count, stats.nodes, stats.timed_out)
 
 
 def is_three_edge_colorable(g: PseudoGraph, budget: Optional[int] = None) -> bool:

@@ -194,23 +194,6 @@ def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
     return sorted(cuts, key=lambda c: c.pair)
 
 
-def is_cyclically_4ec(g: PseudoGraph) -> bool:
-    """Cubic g: connected, bridgeless, no 2-cuts, every 3-cut trivial.
-
-    Once no label is 0 or repeated, the graph is 3-edge-connected, and then
-    every candidate triple is a genuine nontrivial 3-edge-cut.
-    """
-    if not g.is_cubic():
-        raise ValueError("graph must be cubic")
-    if not g.is_connected():
-        return False
-    labels, _ = cycle_space_labels(g)
-    groups = _by_label(labels)
-    if 0 in groups or len(groups) < len(labels):
-        return False
-    return next(_three_cut_candidates(g, labels), None) is None
-
-
 def _oriented_cut_endpoints(
     g: PseudoGraph, cut: Sequence[int], side_a: Set[int]
 ) -> List[Tuple[int, int]]:

@@ -6,10 +6,11 @@ generator convention is fixed project-wide: x = 001, y = 010, z = 100.
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges, two_cut_reduction
 from normal7.graph_core import PseudoGraph, solve_per_component, verify_or_raise
@@ -38,9 +39,6 @@ class GroupFlow:
 class FlowCheck:
     conserving: bool
     nowhere_zero: bool
-
-    def __bool__(self) -> bool:
-        return self.conserving
 
 
 @dataclass(frozen=True)
@@ -85,20 +83,43 @@ def verified_nz_flow(flow: GroupFlow) -> GroupFlow:
     return flow
 
 
+class EdgeStatus(str, enum.Enum):
+    """An edge is poor when the values at its two endpoints span exactly 3
+    elements, rich when they span exactly 5, and invalid otherwise."""
+
+    POOR = "poor"
+    RICH = "rich"
+    INVALID = "invalid"
+
+
+def values_at(g: PseudoGraph, values: Mapping[int, int], v: int) -> Set[int]:
+    """Distinct values on the edges at v; a loop contributes its value once."""
+    try:
+        return {values[e] for e in g.incident(v)}
+    except KeyError as exc:
+        raise ValueError(f"edge {exc.args[0]} at vertex {v} is uncolored") from None
+
+
+def union_status(g: PseudoGraph, values: Mapping[int, int], eid: int) -> EdgeStatus:
+    """The poor/rich rule for flows and colorings alike: the size of the
+    union of the value sets at the two endpoints of eid."""
+    u, v = g.endpoints(eid)
+    size = len(values_at(g, values, u) | values_at(g, values, v))
+    if size == 3:
+        return EdgeStatus.POOR
+    if size == 5:
+        return EdgeStatus.RICH
+    return EdgeStatus.INVALID
+
+
 def flow_value_set(flow: GroupFlow, v: int) -> Set[GF2Vector]:
     """Distinct flow values on edges at v; a loop contributes its value once."""
-    return {flow.values[e] for e in flow.graph.incident(v)}
+    return values_at(flow.graph, flow.values, v)
 
 
-def flow_edge_status(flow: GroupFlow, eid: int) -> str:
-    """'poor', 'rich', or 'neither' by the size of the two-endpoint value union."""
-    u, v = flow.graph.endpoints(eid)
-    union = flow_value_set(flow, u) | flow_value_set(flow, v)
-    if len(union) == 3:
-        return "poor"
-    if len(union) == 5:
-        return "rich"
-    return "neither"
+def flow_edge_status(flow: GroupFlow, eid: int) -> EdgeStatus:
+    """Poor, rich or invalid by the size of the two-endpoint value union."""
+    return union_status(flow.graph, flow.values, eid)
 
 
 # -- spanning tree packing ----------------------------------------------------
@@ -376,11 +397,6 @@ def _flow_with_free_loops(
     return verified_nz_flow(GroupFlow(g, 2, values))
 
 
-def flow_two_adjacent_distinct(g: PseudoGraph, e: int, f: int) -> GroupFlow:
-    """Nowhere-zero Z_2^2 flow with different values on two adjacent edges."""
-    return flow_three_edges_distinct(g, e, f, f)
-
-
 # -- nowhere-zero Z_2^3 flows on bridgeless graphs ------------------------------
 
 
@@ -482,20 +498,6 @@ class GF2Automorphism:
             if v & bit:
                 acc ^= col
         return acc
-
-    @property
-    def matrix(self) -> Tuple[Tuple[int, int, int], ...]:
-        """Rows of the 3x3 GF(2) matrix whose columns are the basis images."""
-        return tuple(
-            tuple((col >> r) & 1 for col in self.cols) for r in range(3)
-        )
-
-    def compose(self, other: "GF2Automorphism") -> "GF2Automorphism":
-        """self after other."""
-        return GF2Automorphism(tuple(self.apply(c) for c in other.cols))  # type: ignore[arg-type]
-
-
-IDENTITY_AUTOMORPHISM = GF2Automorphism((1, 2, 4))
 
 
 @lru_cache(maxsize=1)

@@ -2,13 +2,13 @@
 
 Vertices are dense integers in [0, n).  Every edge carries a stable integer
 id that survives edge insertions and removals; ids are never reused, so a
-removed edge leaves a hole in the id sequence.  Removing a vertex compacts
-the vertex range (labels above it shift down by one).
+removed edge leaves a hole in the id sequence.  Vertices are removed by
+remove_vertices, which builds a compacted copy and returns the label maps.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 class Graph6Error(ValueError):
@@ -138,19 +138,6 @@ class PseudoGraph:
             self._inc[v].remove(eid)
         else:
             self._inc[u].remove(eid)
-
-    def remove_vertex(self, v: int) -> None:
-        """Delete v with its edges; vertices above v shift down by one."""
-        self._check_vertex(v)
-        for eid in list(self._inc[v]):
-            if self._edges[eid] is not None:
-                self.remove_edge(eid)
-        del self._inc[v]
-        self._n -= 1
-        remap = lambda x: x - 1 if x > v else x
-        for i, e in enumerate(self._edges):
-            if e is not None:
-                self._edges[i] = (remap(e[0]), remap(e[1]))
 
     def incident(self, v: int) -> List[int]:
         """Edge ids at v in insertion order; a loop appears twice."""

@@ -4,10 +4,10 @@ the contract-then-lift flow machinery for cubic graphs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from normal7.cuts_reductions import find_bridges
-from normal7.flows_trees import GroupFlow, verified_nz_flow, verify_flow
+from normal7.flows_trees import Z, GroupFlow, verified_nz_flow, verify_flow
 from normal7.graph_core import PseudoGraph, contract_edge_set, verify_or_raise
 
 
@@ -44,7 +44,6 @@ class TwoFactorLift:
     h: PseudoGraph
     edge_map: Dict[int, int]  # matching eid in g -> eid in h
     cycles: List[FactorCycle]
-    vertex_to_cycle: Dict[int, int]  # g vertex -> index into cycles
 
 
 def _check_matchable(g: PseudoGraph) -> None:
@@ -152,27 +151,18 @@ def contract_two_factor(g: PseudoGraph, m: PerfectMatching) -> TwoFactorLift:
     factor = [e for e in g.edge_ids() if e not in m.edges]
     h, edge_map, vertex_map = contract_edge_set(g, factor)
     assert h.num_vertices == len(cycles)
-    vertex_to_cycle: Dict[int, int] = {}
-    for idx, cyc in enumerate(cycles):
-        for v in cyc.vertices:
-            vertex_to_cycle[v] = idx
     # Contraction must collapse each cycle to a single vertex.
-    for idx, cyc in enumerate(cycles):
+    for cyc in cycles:
         assert len({vertex_map[v] for v in cyc.vertices}) == 1
-    return TwoFactorLift(g, h, edge_map, cycles, vertex_to_cycle)
+    return TwoFactorLift(g, h, edge_map, cycles)
 
 
-def lift_flow(
-    lift: TwoFactorLift,
-    theta: GroupFlow,
-    x0: Union[int, Mapping[int, int]] = 4,
-) -> GroupFlow:
+def lift_flow(lift: TwoFactorLift, theta: GroupFlow) -> GroupFlow:
     """Extend a Z_2^2 flow on the contracted graph to a Z_2^3 flow of g.
 
     Matching edges keep their theta value (high bit 0); each cycle is seeded
-    with x0 (high bit must be 1) on its lowest edge and propagated by
-    conservation, so cycle values keep the high bit and never collide with
-    matching values.
+    with Z = 4 on its lowest edge and propagated by conservation, so cycle
+    values keep the high bit and never collide with matching values.
     """
     if theta.k != 2:
         raise ValueError("the contracted flow must be over Z_2^2")
@@ -180,17 +170,11 @@ def lift_flow(
     if not (check.conserving and check.nowhere_zero):
         raise ValueError("the contracted flow must be a nowhere-zero flow")
 
-    def seed(idx: int) -> int:
-        val = x0 if isinstance(x0, int) else x0.get(idx, 4)
-        if not 0 <= val < 8 or not val & 4:
-            raise ValueError("cycle seeds must have their high bit set")
-        return val
-
     g = lift.g
     match_at = matched_edge_at(g, lift.edge_map)
     values = {eid: theta.values[h_eid] for eid, h_eid in lift.edge_map.items()}
-    for idx, cyc in enumerate(lift.cycles):
-        values[cyc.edges[0]] = seed(idx)
+    for cyc in lift.cycles:
+        values[cyc.edges[0]] = Z
         for i in range(1, len(cyc)):
             shared = cyc.vertices[i]
             values[cyc.edges[i]] = values[cyc.edges[i - 1]] ^ values[match_at[shared]]

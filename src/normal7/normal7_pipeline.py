@@ -4,7 +4,7 @@ The entry point normal7_coloring takes any simple cubic graph and returns a
 proper 7-edge-coloring in which every edge is poor or rich.  It works in
 three layers, each exposed on its own:
 
-  * flow_edge_poor / flow_two_adjacent_rich / flow_edge_rich build
+  * flow_edge_poor / flow_two_adjacent_rich build
     nowhere-zero Z_2^3 flows on bridgeless cubic graphs whose induced
     colorings pin the status of named edges, recursing through 2- and
     3-edge-cuts down to a cyclically-4-edge-connected base solved by
@@ -122,7 +122,7 @@ class CertificateStep:
 
 
 class PipelineVerificationError(VerificationError):
-    """An assembled coloring or flow failed re-verification."""
+    """An assembled coloring failed re-verification; carries the steps so far."""
 
     def __init__(self, message: str, trace: Sequence[CertificateStep] = ()):
         super().__init__(message)
@@ -466,15 +466,6 @@ def _rich_pair_base(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     assert flow_edge_status(flow, e) == "rich"
     assert flow_edge_status(flow, f) == "rich"
     return flow
-
-
-def flow_edge_rich(g: PseudoGraph, e: int) -> GroupFlow:
-    """Nowhere-zero Z_2^3 flow making e rich, on a 3-edge-connected cubic
-    graph with at least four vertices.  Pairs e with its lowest-id neighbor."""
-    u, w = g.endpoints(e)
-    partners = sorted(d for vv in (u, w) for d in g.incident(vv) if d != e)
-    assert partners
-    return flow_two_adjacent_rich(g, e, partners[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Registry integrity, cycle-space sweeps, and the exhaustive certificates."""
+"""The claims' fixed graphs, cycle-space sweeps, and the exhaustive certificates."""
 
 import json
 from itertools import product
@@ -8,55 +8,56 @@ import pytest
 from normal7.certify import (
     CLAIMS,
     Certificate,
-    REGISTRY,
     certify_fig6_flow_poor,
     certify_fig6_normal6,
     certify_gadget_K,
     certify_k33_three_rich,
-    cycle_space_size,
     double_gadget_graph,
     find_gadget_sites,
-    flow_from_values,
     gadget_block_edges,
-    gadget_k_graph,
     k33_graph,
     k4_graph,
-    petersen_graph,
     run_claim,
     rung_lobes_graph,
     sweep_cycle_space,
-    theta_graph,
 )
+from normal7.flows_trees import GroupFlow, verify_flow
 from normal7.graph_core import PseudoGraph
+from tests.corpora import petersen, theta_graph
+
+CLAIM_GRAPHS = {
+    "k4": k4_graph,
+    "k33": k33_graph,
+    "double_gadget": double_gadget_graph,
+    "rung_lobes": rung_lobes_graph,
+}
+
+
+def gadget_k_graph() -> PseudoGraph:
+    """One near-K4 block with a pendant edge at its degree-2 vertex."""
+    return PseudoGraph.from_edges(6, gadget_block_edges(0) + [(0, 5)])
 
 
 class TestRegistry:
+    """The fixed graphs the claims sweep."""
+
     def test_orders_and_sizes(self):
         expected = {
             "k4": (4, 6),
             "k33": (6, 9),
-            "theta": (2, 3),
-            "petersen": (10, 15),
-            "gadget_k": (6, 8),
             "double_gadget": (10, 15),
             "rung_lobes": (10, 15),
         }
-        assert set(REGISTRY) == set(expected)
         for name, (n, m) in expected.items():
-            g = REGISTRY[name].graph
+            g = CLAIM_GRAPHS[name]()
             assert (g.num_vertices, g.num_edges) == (n, m), name
-            assert REGISTRY[name].name == name
-            assert REGISTRY[name].note
 
     def test_degree_sequences(self):
-        cubic = {"k4", "k33", "theta", "petersen", "double_gadget", "rung_lobes"}
-        for name in cubic:
-            assert REGISTRY[name].graph.is_cubic(), name
-        degs = sorted(
-            REGISTRY["gadget_k"].graph.degree(v)
-            for v in REGISTRY["gadget_k"].graph.vertices()
-        )
-        assert degs == [1, 3, 3, 3, 3, 3]
+        for name, build in CLAIM_GRAPHS.items():
+            g = build()
+            assert g.is_cubic() and g.is_simple(), name
+        g = gadget_k_graph()
+        assert sorted(g.degree(v) for v in g.vertices()) == [1, 3, 3, 3, 3, 3]
 
     def test_rung_lobes_edge_list_is_pinned(self):
         g = rung_lobes_graph()
@@ -117,20 +118,19 @@ class TestCycleSpaceSweep:
 
     def test_k4_count_and_conservation(self):
         g = k4_graph()
-        assert cycle_space_size(g) == 512
         seen = set()
         nz = 0
         for values in sweep_cycle_space(g, 3):
             seen.add(tuple(values))
             if 0 not in values:
                 nz += 1
-                flow_from_values(g, values)
+                assert verify_flow(GroupFlow(g, 3, dict(zip(g.edge_ids(), values)))).conserving
         assert len(seen) == 512
         # flow polynomial of K4 at 8: 7 * 6 * 5
         assert nz == 210
 
     def test_starts_at_zero(self):
-        first = next(iter(sweep_cycle_space(petersen_graph(), 3)))
+        first = next(iter(sweep_cycle_space(petersen(), 3)))
         assert set(first) == {0}
 
 
@@ -162,7 +162,7 @@ class TestGadgetDetection:
         assert sites[0].vertices == (0, 1, 2, 3, 4)
 
     def test_bridgeless_host_has_none(self):
-        assert find_gadget_sites(petersen_graph()) == []
+        assert find_gadget_sites(petersen()) == []
 
 
 class TestCertifyGadgetK:
@@ -190,7 +190,7 @@ class TestCertifyGadgetK:
 
     def test_bridgeless_host_is_rejected(self):
         with pytest.raises(ValueError):
-            certify_gadget_K(petersen_graph())
+            certify_gadget_K(petersen())
 
 
 class TestCertifyClaims:

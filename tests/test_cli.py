@@ -17,12 +17,29 @@ from normal7.cli import (
     parse_graph_text,
 )
 from normal7.flows_trees import PackingError
+from normal7.graph_core import write_graph6
 from normal7.matching import MatchingError
 
 K4_G6 = "C~"
 K4_EDGE_LIST = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PETERSEN_G6 = "IheA@GUAo"
 DOUBLE_GADGET_G6 = "Ir]?GGB?w"
+PRISM_G6 = "E{Sw"
+K5_G6 = "D~{"
+
+
+@pytest.fixture
+def pipeline_fails_on_prism(monkeypatch):
+    """Make the census pipeline raise on the prism, a valid simple cubic
+    line, the way an internal failure would."""
+    real = cli.normal7_coloring
+
+    def coloring(g, trace=None):
+        if write_graph6(g) == PRISM_G6:
+            raise RuntimeError("boom")
+        return real(g, trace)
+
+    monkeypatch.setattr(cli, "normal7_coloring", coloring)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -131,6 +148,18 @@ class TestExact:
         doc = json.loads(out)
         assert doc["chi_n"] is None and doc["exceeds"] == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (K5_G6, "vertex 0 has degree 4"),
+            ("2 3\n0 0\n0 1\n1 1\n", "loop"),
+        ],
+    )
+    def test_solver_precondition_is_input_error(self, capsys, monkeypatch, text, message):
+        rc, out, err = run(capsys, ["exact"], stdin=text, monkeypatch=monkeypatch)
+        assert rc == EXIT_INPUT and not out
+        assert err.startswith("error: ") and message in err
+
     def test_budget_is_inconclusive(self, capsys, monkeypatch):
         rc, out, _ = run(
             capsys, ["exact", "--budget", "2"], stdin=PETERSEN_G6,
@@ -181,11 +210,13 @@ class TestCensus:
         "bad_lines, code",
         [
             (["broken line"], EXIT_INPUT),  # not graph6
-            (["A_"], EXIT_VERIFY),  # graph6 of K2, which the pipeline rejects
-            (["broken line", "A_"], EXIT_VERIFY),  # the higher code wins
+            ([PRISM_G6], EXIT_VERIFY),  # a valid line the pipeline fails on
+            (["broken line", PRISM_G6], EXIT_VERIFY),  # the higher code wins
         ],
     )
-    def test_failed_lines_set_the_exit_code(self, capsys, tmp_path, bad_lines, code):
+    def test_failed_lines_set_the_exit_code(
+        self, capsys, tmp_path, pipeline_fails_on_prism, bad_lines, code
+    ):
         path = tmp_path / "list.g6"
         path.write_text("\n".join([K4_G6, *bad_lines]) + "\n")
         rc, out, _ = run(capsys, ["census", str(path)])
@@ -197,11 +228,11 @@ class TestCensus:
         [
             ([], EXIT_INCONCLUSIVE),
             (["broken line"], EXIT_INCONCLUSIVE),  # 3 outranks 2
-            (["A_"], EXIT_VERIFY),  # 4 outranks 3
+            ([PRISM_G6], EXIT_VERIFY),  # 4 outranks 3
         ],
     )
     def test_a_budget_exhausted_exact_run_is_inconclusive(
-        self, capsys, tmp_path, bad_lines, code
+        self, capsys, tmp_path, pipeline_fails_on_prism, bad_lines, code
     ):
         path = tmp_path / "list.g6"
         path.write_text("\n".join([PETERSEN_G6, *bad_lines]) + "\n")
@@ -213,6 +244,17 @@ class TestCensus:
         pet_rec, summary = lines[0], lines[-1]
         assert pet_rec["inconclusive"] is True and pet_rec["exact_chi"] is None
         assert summary["inconclusive"] == 1 and summary["failures"] == len(bad_lines)
+
+    def test_a_non_cubic_line_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "list.g6"
+        path.write_text(f"{K4_G6}\n{K5_G6}\n")
+        rc, out, err = run(capsys, ["census", str(path)])
+        assert rc == EXIT_INPUT
+        assert err == f"error: {K5_G6}: InputError: input graph is not cubic: vertex 0 has degree 4\n"
+        k4_rec, k5_rec, summary = (json.loads(ln) for ln in out.splitlines())
+        assert k4_rec["verified"] is True
+        assert k5_rec["error"] == "InputError: input graph is not cubic: vertex 0 has degree 4"
+        assert summary["failures"] == 1
 
     def test_census_line_isolates_failures(self):
         rec = census_line("garbage!!", exact_up_to=0, budget=None)

@@ -12,7 +12,6 @@ from normal7.cuts_reductions import (
     find_2_edge_cuts,
     find_bridges,
     find_nontrivial_3_edge_cuts,
-    is_cyclically_4ec,
     ladder_containing,
     splice_reduction,
     star_product,
@@ -26,7 +25,6 @@ from tests.corpora import (
     k4,
     k33,
     long_ladder_graph,
-    petersen,
     prism,
     random_simple_graph,
     theta_graph,
@@ -127,15 +125,6 @@ class TestSmallCuts:
     def test_k4_k33_no_nontrivial_3cuts(self):
         assert find_nontrivial_3_edge_cuts(k4()) == []
         assert find_nontrivial_3_edge_cuts(k33()) == []
-
-    def test_cyclically_4ec_classification(self):
-        assert is_cyclically_4ec(k4())
-        assert is_cyclically_4ec(k33())
-        assert is_cyclically_4ec(petersen())
-        assert is_cyclically_4ec(theta_graph())
-        assert not is_cyclically_4ec(prism())
-        assert not is_cyclically_4ec(fig6_graph())
-        assert not is_cyclically_4ec(long_ladder_graph())
 
 
 class TestReductions:

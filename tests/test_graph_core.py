@@ -54,10 +54,11 @@ class TestContainer:
 
     def test_remove_vertex_compacts_labels(self):
         g = PseudoGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        g.remove_vertex(1)
-        assert g.num_vertices == 3
+        h, vmap, _ = remove_vertices(g, [1])
+        assert h.num_vertices == 3
         # Old vertices 2, 3 become 1, 2; the surviving edges keep endpoints.
-        assert sorted((u, v) for _, u, v in g.edges()) == [(1, 2), (2, 0)]
+        assert vmap == {0: 0, 2: 1, 3: 2}
+        assert sorted((u, v) for _, u, v in h.edges()) == [(1, 2), (2, 0)]
 
     def test_other_endpoint_and_errors(self):
         g = PseudoGraph.from_edges(3, [(0, 1)])

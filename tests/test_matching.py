@@ -147,7 +147,7 @@ class TestContractTwoFactor:
         assert not any(lift.h.is_loop(e) for e in lift.h.edge_ids())
         assert is_k_edge_connected(lift.h, 4)
         assert set(lift.edge_map) == set(spokes)
-        assert lift.vertex_to_cycle == {v: (0 if v < 5 else 1) for v in range(10)}
+        assert [sorted(c.vertices) for c in lift.cycles] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
 
     def test_cyclically_4ec_input_gives_4ec_quotient(self):
         g = petersen()
@@ -178,10 +178,10 @@ class TestLiftFlow:
         lift = contract_two_factor(g, m)
         loops = lift.h.edge_ids()
         theta = GroupFlow(lift.h, 2, {loops[0]: 3, loops[1]: 3})
-        mu = lift_flow(lift, theta, x0=5)
+        mu = lift_flow(lift, theta)
         cyc = lift.cycles[0]
         vals = [mu.values[e] for e in cyc.edges]
-        assert vals == [5, 5 ^ 3, 5, 5 ^ 3]
+        assert vals == [4, 4 ^ 3, 4, 4 ^ 3]
 
     def test_per_cycle_seeds(self):
         g = petersen()
@@ -189,21 +189,12 @@ class TestLiftFlow:
         lift = contract_two_factor(g, PerfectMatching(frozenset(spokes)))
         a = lift.h.edge_ids()[0]
         theta = flow_two_edges_equal(lift.h, a, a)
-        mu = lift_flow(lift, theta, x0={0: 4, 1: 7})
-        assert mu.values[lift.cycles[0].edges[0]] == 4
-        assert mu.values[lift.cycles[1].edges[0]] == 7
+        mu = lift_flow(lift, theta)
+        # every cycle is seeded with z = 4 on its lowest edge
+        assert len(lift.cycles) == 2
+        assert all(mu.values[c.edges[0]] == 4 for c in lift.cycles)
         check = verify_flow(mu)
         assert check.conserving and check.nowhere_zero
-
-    def test_bad_seed_rejected(self):
-        g = k4()
-        lift = contract_two_factor(g, perfect_matching_through(g, 0))
-        loops = lift.h.edge_ids()
-        theta = GroupFlow(lift.h, 2, {loops[0]: 1, loops[1]: 2})
-        with pytest.raises(ValueError):
-            lift_flow(lift, theta, x0=2)
-        with pytest.raises(ValueError):
-            lift_flow(lift, theta, x0={0: 9})
 
     def test_wrong_group_rejected(self):
         g = k4()

@@ -17,7 +17,6 @@ from normal7.normal7_pipeline import (
     color_degree13_graph,
     color_pendant_block,
     flow_edge_poor,
-    flow_edge_rich,
     flow_two_adjacent_rich,
     graph_fingerprint,
     normal7_coloring,
@@ -124,11 +123,6 @@ class TestFlowRichPair:
             flow_two_adjacent_rich(theta_graph(), 0, 1)  # too small
         with pytest.raises(ValueError):
             flow_two_adjacent_rich(fig6_graph(), 5, 8)  # has 2-cuts
-
-    def test_flow_edge_rich(self):
-        g = petersen()
-        for e in g.edge_ids():
-            assert flow_edge_status(flow_edge_rich(g, e), e) == "rich"
 
 
 def block_statuses(block, coloring):

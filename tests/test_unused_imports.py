@@ -1,0 +1,67 @@
+"""Every name a library module imports is used in that module.
+
+The repository has no linter, so this AST scan stands in for one: deleting
+a function must not leave its imports behind.  The package ``__init__``
+imports names only to re-export them and is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "normal7"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module):
+    """(bound name, line) for every import except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def used_names(tree: ast.Module):
+    """Names read anywhere, including inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= {
+                        n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                        if isinstance(n, ast.Name)
+                    }
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_scan_flags_an_unused_import():
+    tree = ast.parse(
+        "from typing import List, Optional\n"
+        "import json\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    return json.dumps(x)\n"
+    )
+    used = used_names(tree)
+    assert [n for n, _ in imported_names(tree) if n not in used] == ["List"]
