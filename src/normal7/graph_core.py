@@ -2,8 +2,8 @@
 
 Vertices are dense integers in [0, n).  Every edge carries a stable integer
 id that survives edge insertions and removals; ids are never reused, so a
-removed edge leaves a hole in the id sequence.  Vertices are removed by
-remove_vertices, which builds a compacted copy and returns the label maps.
+removed edge leaves a hole in the id sequence.  induced_subgraph (keep a
+vertex set) and remove_vertices build a compacted copy with label maps.
 """
 
 from __future__ import annotations
@@ -284,26 +284,43 @@ def contract_edge_set(
     return h, edge_map, vertex_map
 
 
+def induced_subgraph(
+    g: PseudoGraph, keep: Iterable[int]
+) -> Tuple[PseudoGraph, Dict[int, int], Dict[int, int]]:
+    """The subgraph on the kept vertices, labels compacted in ascending order.
+
+    Returns (new graph, vertex map old -> new, edge map old -> new).  Only
+    the kept vertices' incidences are read, so the cost does not grow with
+    the part of g left out.
+    """
+    kept = sorted(set(keep))
+    if kept:
+        g._check_vertex(kept[0])
+        g._check_vertex(kept[-1])
+    vmap = {v: i for i, v in enumerate(kept)}
+    h = PseudoGraph(len(kept))
+    emap: Dict[int, int] = {}
+    for eid in sorted({e for v in kept for e in g._inc[v]}):
+        u, v = g._edges[eid]  # type: ignore[misc]
+        if u in vmap and v in vmap:
+            # add_edge without its range checks, which vmap's values pass
+            a, b, i = vmap[u], vmap[v], len(h._edges)
+            h._edges.append((a, b))
+            h._inc[a].append(i)
+            h._inc[b].append(i)
+            emap[eid] = i
+    return h, vmap, emap
+
+
 def remove_vertices(
     g: PseudoGraph, doomed: Iterable[int]
 ) -> Tuple[PseudoGraph, Dict[int, int], Dict[int, int]]:
-    """Delete the given vertices and their edges, compacting labels.
-
-    Returns (new graph, vertex map old -> new, edge map old -> new) covering
-    the survivors.
-    """
+    """Delete the given vertices and their edges, compacting labels; the
+    same result as induced_subgraph on the survivors."""
     doomed_set = set(doomed)
     for v in doomed_set:
         g._check_vertex(v)
-    keep = [v for v in g.vertices() if v not in doomed_set]
-    vmap = {v: i for i, v in enumerate(keep)}
-    h = PseudoGraph(len(keep))
-    emap: Dict[int, int] = {}
-    for eid, u, v in g.edges():
-        if u in doomed_set or v in doomed_set:
-            continue
-        emap[eid] = h.add_edge(vmap[u], vmap[v])
-    return h, vmap, emap
+    return induced_subgraph(g, [v for v in g.vertices() if v not in doomed_set])
 
 
 def solve_per_component(
@@ -312,7 +329,7 @@ def solve_per_component(
     """Run solve on each connected component and merge its per-edge answers
     under g's edge ids.
 
-    solve receives the component, cut out by remove_vertices, and the edge
+    solve receives the component, cut out by induced_subgraph, and the edge
     map from g into it.  A connected g is passed as it is, with the identity
     map, and is not copied.
     """
@@ -321,7 +338,7 @@ def solve_per_component(
         return dict(solve(g, {e: e for e in g.edge_ids()}))
     out: Dict[int, int] = {}
     for comp in comps:
-        sub, _, emap = remove_vertices(g, set(g.vertices()) - set(comp))
+        sub, _, emap = induced_subgraph(g, comp)
         inv = {loc: orig for orig, loc in emap.items()}
         for loc, val in solve(sub, emap).items():
             out[inv[loc]] = val

@@ -73,6 +73,7 @@ from normal7.graph_core import (
     PseudoGraph,
     VerificationError,
     attach_pendant,
+    induced_subgraph,
     remove_vertices,
     solve_per_component,
     subdivide_edge,
@@ -129,16 +130,26 @@ class PipelineVerificationError(VerificationError):
         self.trace: Tuple[CertificateStep, ...] = tuple(trace)
 
 
+def _fingerprint_prefix(g: PseudoGraph) -> hashlib._Hash:
+    """SHA-256 state over g's vertex count and sorted labeled edge list; a
+    fingerprint copies it and adds the marks."""
+    rows = sorted((min(u, v), max(u, v), eid) for eid, u, v in g.edges())
+    return hashlib.sha256("{}|{}|".format(g.num_vertices, rows).encode())
+
+
+def _marked_fingerprint(prefix: hashlib._Hash, marks: Sequence[int]) -> str:
+    h = prefix.copy()
+    h.update(str(tuple(marks)).encode())
+    return h.hexdigest()[:16]
+
+
 def graph_fingerprint(g: PseudoGraph, *marks: int) -> str:
-    """Short stable hash of a labeled graph plus distinguished edge ids."""
-    rows = []
-    for eid in g.edge_ids():
-        u, v = g.endpoints(eid)
-        rows.append((min(u, v), max(u, v), eid))
-    payload = "{}|{}|{}".format(
-        g.num_vertices, sorted(rows), tuple(marks)
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Short stable hash of a labeled graph plus distinguished edge ids.
+
+    The graph's part of the hash is built once per graph: the glue steps of
+    normal7_coloring share one prefix of g and add only their marks.
+    """
+    return _marked_fingerprint(_fingerprint_prefix(g), marks)
 
 
 def _perm_of_automorphism(auto: GF2Automorphism) -> Tuple[int, ...]:
@@ -162,13 +173,16 @@ def _record(
     g: PseudoGraph,
     marks: Sequence[int] = (),
     perm: Optional[Tuple[int, ...]] = None,
+    prefix: Optional[hashlib._Hash] = None,
 ) -> None:
+    """Append a step; prefix, if given, is _fingerprint_prefix(g) built once
+    by a caller that records many steps on the same g."""
+    if prefix is None:
+        fingerprint = graph_fingerprint(g, *marks)
+    else:
+        fingerprint = _marked_fingerprint(prefix, marks)
     steps.append(
-        CertificateStep(
-            tag,
-            graph_fingerprint(g, *marks),
-            IDENTITY_PERMUTATION if perm is None else perm,
-        )
+        CertificateStep(tag, fingerprint, IDENTITY_PERMUTATION if perm is None else perm)
     )
 
 
@@ -954,11 +968,7 @@ def color_pendant_block(
     """
     steps: List[CertificateStep] = trace if trace is not None else []
     g, e = block.g, block.e
-    partners = [
-        d
-        for d in g.edge_ids()
-        if d != e and set(g.endpoints(d)) == set(g.endpoints(e))
-    ]
+    partners = [d for d in g.edges_between(*g.endpoints(e)) if d != e]
     if partners:
         assert len(partners) == 1
         return _case_doubled_edge(block, partners[0], steps)
@@ -1222,7 +1232,7 @@ def normal7_coloring(
     for ci, verts in enumerate(forest.components):
         if len(verts) == 1:
             continue
-        sub, vmap, emap = remove_vertices(g, set(g.vertices()) - set(verts))
+        sub, vmap, emap = induced_subgraph(g, verts)
         pend: Dict[int, int] = {}
         for v in sorted(sub.vertices()):
             if sub.degree(v) == 2:
@@ -1257,18 +1267,20 @@ def normal7_coloring(
         for v in g.endpoints(b):
             bridges_at.setdefault(forest.comp_of[v], []).append(b)
 
+    # every glue step fingerprints g: hash its edge list once
+    prefix = _fingerprint_prefix(g)
     bridge_color: Dict[int, int] = {}
     visited: Set[int] = set()
     for root in forest.roots:
         visited.add(root)
         if root in piece_colors:
-            _record(steps, CaseTag.Glue, g, tuple(forest.components[root]))
+            _record(steps, CaseTag.Glue, g, forest.components[root], prefix=prefix)
         else:
             own = sorted(bridges_at.get(root, []))
             assert len(own) == 3
             for i, b in enumerate(own):
                 bridge_color[b] = i + 1
-            _record(steps, CaseTag.Glue, g, tuple(own))
+            _record(steps, CaseTag.Glue, g, own, prefix=prefix)
         queue = deque([root])
         while queue:
             ci = queue.popleft()
@@ -1297,19 +1309,13 @@ def normal7_coloring(
                         partial[src] = dst
                     perm = _extend_palette_perm(partial)
                     apply_perm(cj, perm)
-                    _record(
-                        steps,
-                        CaseTag.Glue,
-                        g,
-                        (b,),
-                        perm,
-                    )
+                    _record(steps, CaseTag.Glue, g, (b,), perm, prefix)
                 else:
                     rest = sorted(d for d in g.incident(beta) if d != b)
                     assert len(rest) == 2
                     for d, c in zip(rest, others_a):
                         bridge_color[d] = c
-                    _record(steps, CaseTag.Glue, g, (b,))
+                    _record(steps, CaseTag.Glue, g, (b,), prefix=prefix)
                 visited.add(cj)
                 queue.append(cj)
 

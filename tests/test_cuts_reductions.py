@@ -7,7 +7,6 @@ import pytest
 
 from normal7 import cuts_reductions
 from normal7.cuts_reductions import (
-    EdgeCut,
     Ladder,
     find_2_edge_cuts,
     find_bridges,

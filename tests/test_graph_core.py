@@ -16,6 +16,7 @@ from normal7.graph_core import (
     PseudoGraph,
     attach_pendant,
     contract_edge_set,
+    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     remove_vertices,
@@ -145,6 +146,31 @@ class TestSurgery:
         tri = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         assert solve_per_component(tri, solve) == {0: 3, 1: 3, 2: 3}
         assert seen[0][0] is tri and seen[0][1] == {0: 0, 1: 1, 2: 2}  # not copied
+
+    @given(st.integers(1, 9), st.integers(0, 20), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_induced_subgraph_matches_remove_vertices(self, n, m, seed):
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, n, m)  # loops and parallel edges
+        for eid in rng.sample(g.edge_ids(), m // 3):
+            g.remove_edge(eid)  # holes in the id sequence
+        some = [v for v in g.vertices() if rng.random() < 0.5]
+        for keep in [some, [], list(g.vertices())]:
+            want = remove_vertices(g, set(g.vertices()) - set(keep))
+            h, vmap, emap = induced_subgraph(g, reversed(keep))
+            assert h.same_labeled_graph(want[0])
+            assert (vmap, emap) == want[1:]
+            # both share one body: check it against the definition too
+            inside = [(eid, u, v) for eid, u, v in g.edges() if u in keep and v in keep]
+            assert vmap == {v: i for i, v in enumerate(keep)}
+            assert emap == {eid: i for i, (eid, _, _) in enumerate(inside)}
+            assert list(h.edges()) == [(i, vmap[u], vmap[v]) for i, (_, u, v) in enumerate(inside)]
+            assert [h.incident(x) for x in h.vertices()] == [
+                [i for i, u, v in h.edges() for y in (u, v) if y == x] for x in h.vertices()
+            ]
+        for bad in (-1, n):
+            with pytest.raises(ValueError):
+                induced_subgraph(g, [0, bad])
 
     def test_remove_vertices_maps(self):
         g = PseudoGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -1,11 +1,14 @@
 """Constructive coloring pipeline: pinned-status flows, pendant-block cases,
 degree-1/3 recursion, bridge glue, and the replay certificates."""
 
+import hashlib
+
 import pytest
 
 from normal7 import normal7_pipeline
+from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeStatus, is_normal
-from normal7.cuts_reductions import find_2_edge_cuts, ladder_containing
+from normal7.cuts_reductions import find_bridges
 from normal7.flows_trees import flow_edge_status, verify_flow
 from normal7.graph_core import PseudoGraph, VerificationError, attach_pendant, subdivide_edge
 from normal7.normal7_pipeline import (
@@ -379,8 +382,6 @@ class TestNormal7Coloring:
         col = normal7_coloring(g, steps)
         ok, statuses = is_normal(col)
         assert ok
-        from normal7.cuts_reductions import find_bridges
-
         for b in find_bridges(g):
             assert statuses[b] is EdgeStatus.POOR
         assert any(s.tag is CaseTag.Glue for s in steps)
@@ -398,6 +399,38 @@ class TestNormal7Coloring:
         g = petersen()
         assert graph_fingerprint(g) == graph_fingerprint(petersen())
         assert graph_fingerprint(g, 1) != graph_fingerprint(g, 2)
+
+    def test_shared_prefix_matches_graph_fingerprint(self):
+        g = two_bridge_chain()
+        e = find_bridges(g)[0]
+        rows = sorted((min(u, v), max(u, v), eid) for eid, u, v in g.edges())
+        prefix = normal7_pipeline._fingerprint_prefix(g)
+        for marks in [(), (e,), tuple(g.edge_ids()) * 3]:
+            payload = "{}|{}|{}".format(g.num_vertices, rows, marks)
+            want = hashlib.sha256(payload.encode()).hexdigest()[:16]
+            # the prefix is reused across marks, so copying must not consume it
+            assert normal7_pipeline._marked_fingerprint(prefix, marks) == want
+            assert graph_fingerprint(g, *marks) == want
+
+    def test_large_bridge_caterpillar(self):
+        # a path of hubs, each with its own near-K4 block; a block at each
+        # end of the path makes every hub a vertex on three bridges
+        hubs = 166
+        bases = [hubs + 5 * i for i in range(hubs + 2)]
+        edges = [d for base in bases for d in gadget_block_edges(base)]
+        edges += [(h, h + 1) for h in range(hubs - 1)]
+        edges += [(h, bases[h]) for h in range(hubs)]
+        edges += [(bases[hubs], 0), (bases[hubs + 1], hubs - 1)]
+        g = PseudoGraph.from_edges(hubs + 5 * len(bases), edges)
+        assert g.num_vertices >= 1000 and g.is_cubic() and g.is_simple()
+        bridges = find_bridges(g)
+        assert len(bridges) == 2 * hubs + 1
+        steps = []
+        col = normal7_coloring(g, steps)
+        ok, statuses = is_normal(col)
+        assert ok
+        assert all(statuses[b] is EdgeStatus.POOR for b in bridges)
+        assert sum(s.tag is CaseTag.Glue for s in steps) == len(bridges) + 1  # one root
 
     def test_disconnected(self):
         a = k4()

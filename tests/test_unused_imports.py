@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
 The repository has no linter, so this AST scan stands in for one: deleting
-a function must not leave its imports behind.  The package ``__init__``
-imports names only to re-export them and is skipped.
+a function must not leave its imports behind, in the library or in the
+tests that called it.  The package ``__init__`` imports names only to
+re-export them and is skipped, as is the tests' empty ``__init__``.
 """
 
 import ast
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "normal7"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "normal7"
+MODULES = [
+    p for d in (SRC, TESTS) for p in sorted(d.glob("*.py")) if p.name != "__init__.py"
+]
 
 
 def imported_names(tree: ast.Module):
@@ -48,7 +52,9 @@ def used_names(tree: ast.Module):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}"
+)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = used_names(tree)
