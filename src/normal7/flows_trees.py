@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges, two_cut_reduction
-from normal7.graph_core import PseudoGraph, solve_per_component, verify_or_raise
+from normal7.graph_core import PseudoGraph, VerificationError, solve_per_component, verify_or_raise
 
 GF2Vector = int  # k-bit value; addition is bitwise xor
 
@@ -125,56 +125,122 @@ def flow_edge_status(flow: GroupFlow, eid: int) -> EdgeStatus:
 # -- spanning tree packing ----------------------------------------------------
 
 
-def _forest_path(g: PseudoGraph, forest: Set[int], s: int, t: int) -> Optional[List[int]]:
-    """Edge ids on the forest path s..t, or None if disconnected there."""
-    if s == t:
-        return []
-    parent: Dict[int, Tuple[int, int]] = {s: (-1, -1)}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for eid in sorted(e for e in g.incident(v) if e in forest):
-            w = g.other_endpoint(eid, v)
-            if w not in parent:
-                parent[w] = (v, eid)
-                if w == t:
-                    path = []
-                    cur = t
-                    while cur != s:
-                        pv, pe = parent[cur]
-                        path.append(pe)
-                        cur = pv
-                    return path
-                queue.append(w)
-    return None
+def _edge_ends(g: PseudoGraph) -> List[Optional[Tuple[int, int]]]:
+    """ends[eid] = (u, v) for every edge of g; None at the holes of removed ids."""
+    ends: List[Optional[Tuple[int, int]]] = []
+    for eid, u, v in g.edges():
+        ends += [None] * (eid - len(ends))
+        ends.append((u, v))
+    return ends
 
 
-def _try_augment(g: PseudoGraph, forests: List[Set[int]], e: int) -> bool:
-    """One matroid-union augmentation step: try to absorb edge e."""
+class _RootedForest:
+    """A forest held as parent pointers: par[v] = (parent, edge id), or None
+    at a root.  ends maps edge ids to endpoints, as built by _edge_ends."""
+
+    __slots__ = ("ends", "par")
+
+    def __init__(self, ends: List[Optional[Tuple[int, int]]], n: int):
+        self.ends = ends
+        self.par: List[Optional[Tuple[int, int]]] = [None] * n
+
+    def path(self, s: int, t: int) -> Optional[List[int]]:
+        """Edge ids on the forest path from t to s, in that order, or None
+        when s and t lie in different trees.
+
+        Walks up from s and t in turns; the first vertex either walk finds
+        on the other's trail is their lowest common ancestor."""
+        par = self.par
+        s_edges: List[int] = []
+        t_edges: List[int] = []
+        s_seen = {s: 0}  # vertex on the s-walk -> edges below it on that walk
+        t_seen = {t: 0}
+        a, b = s, t
+        while True:
+            if a in t_seen:
+                return t_edges[: t_seen[a]] + s_edges[::-1]
+            if b in s_seen:
+                return t_edges + s_edges[: s_seen[b]][::-1]
+            up_a, up_b = par[a], par[b]
+            if up_a is None and up_b is None:
+                return None
+            if up_a is not None:
+                a, e = up_a
+                s_edges.append(e)
+                s_seen[a] = len(s_edges)
+            if up_b is not None:
+                b, e = up_b
+                t_edges.append(e)
+                t_seen[b] = len(t_edges)
+
+    def link(self, eid: int) -> None:
+        """Add edge eid: re-root the tree of one endpoint there and hang it
+        under the other.  Raises VerificationError when both endpoints lie
+        in one tree, so the parent pointers never close a cycle."""
+        a, b = self.ends[eid]  # type: ignore[misc]
+        par = self.par
+        child, step = a, par[a]
+        par[a] = None
+        while step is not None:
+            v, e = step
+            step = par[v]
+            par[v] = (child, e)
+            child = v
+        root = b
+        while par[root] is not None:
+            root = par[root][0]  # type: ignore[index]
+        if root == a:
+            raise VerificationError(f"edge {eid} would close a cycle in a packed forest")
+        par[a] = (b, eid)
+
+    def cut(self, eid: int) -> None:
+        """Remove tree edge eid: its lower endpoint becomes a root."""
+        a, b = self.ends[eid]  # type: ignore[misc]
+        if self.par[a] == (b, eid):
+            self.par[a] = None
+        else:
+            self.par[b] = None
+
+
+_Swap = Tuple[int, Optional[int], int]  # (forest index, edge taken out or None, edge put in)
+
+
+def _try_augment(
+    forests: List[Set[int]], trees: List[_RootedForest], e: int
+) -> Optional[List[_Swap]]:
+    """One matroid-union augmentation step: try to absorb edge e.
+
+    Breadth-first over exchanges: edge y may enter forest i directly when
+    its endpoints lie in different trees there, or in place of any edge on
+    the forest path between them.  Returns the swaps made along the
+    shortest exchange chain, or None when e cannot be absorbed."""
+    ends = trees[0].ends
     parent: Dict[int, Optional[Tuple[int, int]]] = {e: None}
     queue = deque([e])
     while queue:
         y = queue.popleft()
-        uy, vy = g.endpoints(y)
+        uy, vy = ends[y]  # type: ignore[misc]
         for i, forest in enumerate(forests):
             if y in forest:
                 continue
-            path = _forest_path(g, forest, uy, vy)
+            path = trees[i].path(uy, vy)
             if path is None:
                 # Direct insertion, then unwind the exchange chain.
                 forests[i].add(y)
+                swaps: List[_Swap] = [(i, None, y)]
                 cur = y
                 while parent[cur] is not None:
                     prev, j = parent[cur]  # type: ignore[misc]
                     forests[j].discard(cur)
                     forests[j].add(prev)
+                    swaps.append((j, cur, prev))
                     cur = prev
-                return True
+                return swaps
             for x in path:
                 if x not in parent:
                     parent[x] = (y, i)
                     queue.append(x)
-    return False
+    return None
 
 
 def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
@@ -184,41 +250,65 @@ def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
     return len(g.connected_components(skip=others)) == 1
 
 
-def _assert_forests(g: PseudoGraph, forests: List[Set[int]]) -> None:
-    seen: Set[int] = set()
-    for forest in forests:
-        assert not (forest & seen)
-        seen |= forest
-        comp: Dict[int, int] = {}
-
-        def find(a: int) -> int:
-            while comp.get(a, a) != a:
-                comp[a] = comp.get(comp[a], comp[a])
-                a = comp[a]
-            return a
-
-        for eid in forest:
-            u, v = g.endpoints(eid)
-            ru, rv = find(u), find(v)
-            assert ru != rv
-            comp[ru] = rv
+def _check_swapped_forests(
+    n: int, ends: List[Optional[Tuple[int, int]]], forests: List[Set[int]], swaps: List[_Swap]
+) -> None:
+    """Raise VerificationError unless the forests an augmentation changed
+    are still forests and the edges it put in lie in no other forest.
+    The untouched forests and edges were checked when they last changed."""
+    for i, _, x in swaps:
+        verify_or_raise(
+            x in forests[i] and sum(x in f for f in forests) == 1,
+            f"packed forests share edge {x}",
+        )
+    for i in {i for i, _, _ in swaps}:
+        comp = list(range(n))  # union-find with path halving
+        for x in forests[i]:
+            a, b = ends[x]  # type: ignore[misc]
+            while comp[a] != a:
+                comp[a] = a = comp[comp[a]]
+            while comp[b] != b:
+                comp[b] = b = comp[comp[b]]
+            if a == b:
+                raise VerificationError(f"packed forest {i} has a cycle through edge {x}")
+            comp[a] = b
 
 
 def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
+    """k edge-disjoint spanning trees of g as edge-id sets, or PackingError.
+
+    Matroid-union augmentation over the edges in id order (loops skipped).
+    Each forest is an edge set plus a _RootedForest mirror of it (parent
+    pointers over one ends array), so an exchange query walks up from the
+    two endpoints instead of searching the forest.  A forest path is unique,
+    so the query returns the same edges in the same order (t to s) that a
+    search would, and the sets see the same add/discard sequence.  Every
+    augmentation is re-checked before the next one starts.
+    """
     n = g.num_vertices
     if n <= 1:
         return [set() for _ in range(k)]
     if not g.is_connected():
         raise PackingError("graph is disconnected")
+    ends = _edge_ends(g)
     forests: List[Set[int]] = [set() for _ in range(k)]
+    trees = [_RootedForest(ends, n) for _ in range(k)]
     for e in g.edge_ids():
         if g.is_loop(e):
             continue
-        if _try_augment(g, forests, e):
-            _assert_forests(g, forests)
+        swaps = _try_augment(forests, trees, e)
+        if swaps:
+            _check_swapped_forests(n, ends, forests, swaps)
+            # every cut first leaves a subforest of the checked result, so
+            # each link then joins two different trees
+            for i, out, _ in swaps:
+                if out is not None:
+                    trees[i].cut(out)
+            for i, _, x in swaps:
+                trees[i].link(x)
     if all(len(f) == n - 1 for f in forests):
         for f in forests:
-            assert _is_spanning_tree(g, f)
+            verify_or_raise(_is_spanning_tree(g, f), "a packed forest is not a spanning tree")
         return forests
     raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
 
@@ -360,7 +450,10 @@ def flow_three_edges_distinct(g: PseudoGraph, e: int, f: int, gg: int) -> GroupF
             t1, t2 = t2, t1
         a1 = parity_subgraph_in_tree(g, t1)
         a2 = parity_subgraph_in_tree(g, t2)
-        cyc = set(_forest_path(g, t2, *g.endpoints(e)) or []) | {e}
+        tree = _RootedForest(_edge_ends(g), g.num_vertices)
+        for x in t2:
+            tree.link(x)
+        cyc = set(tree.path(*g.endpoints(e)) or []) | {e}
         ids = set(g.edge_ids())
         flow = flow_from_even_subgraphs(g, ids - a1, ids - (a2 ^ cyc))
     assert flow.values[e] != flow.values[f] and flow.values[e] != flow.values[gg]
@@ -464,8 +557,8 @@ def _nz3_three_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
             copy_to_orig[doubled.add_edge(u, v)] = eid
     forests = _pack_spanning_trees(doubled, 3)
     trees = [{copy_to_orig[c] for c in forest} for forest in forests]
-    for t in trees:
-        assert _is_spanning_tree(g, t)  # a tree never holds both copies
+    for t in trees:  # a tree never holds both copies of an edge
+        verify_or_raise(_is_spanning_tree(g, t), "a packed tree is not a spanning tree of g")
     parities = [parity_subgraph_in_tree(g, t) for t in trees]
     values: Dict[int, GF2Vector] = {}
     for e in g.edge_ids():
@@ -474,7 +567,7 @@ def _nz3_three_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
             if e not in par:
                 val |= bit
         values[e] = val
-    assert all(values[e] for e in g.edge_ids())
+    verify_or_raise(all(values.values()), "the three parity complements leave an edge at zero")
     return values
 
 

@@ -5,8 +5,13 @@ assignments or over the cycle space); construction outputs are then checked
 against the same predicates.
 """
 
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from itertools import combinations, product
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -38,6 +43,7 @@ from normal7.flows_trees import (
 from normal7.graph_core import PseudoGraph, VerificationError
 from normal7.matching import contract_two_factor, lift_flow, perfect_matching_through
 from tests.corpora import (
+    cubic_census_upto,
     doubled_cycle,
     fig6_graph,
     k4,
@@ -197,6 +203,150 @@ class TestPacking:
         else:
             with pytest.raises(PackingError):
                 pack_two_spanning_trees(g)
+
+
+# -- reference packer: forest paths by breadth-first search -------------------
+
+
+def reference_forest_path(g, forest, s, t):
+    """Edge ids on the forest path s..t, or None if disconnected there."""
+    if s == t:
+        return []
+    parent = {s: (-1, -1)}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for eid in sorted(e for e in g.incident(v) if e in forest):
+            w = g.other_endpoint(eid, v)
+            if w not in parent:
+                parent[w] = (v, eid)
+                if w == t:
+                    path = []
+                    cur = t
+                    while cur != s:
+                        pv, pe = parent[cur]
+                        path.append(pe)
+                        cur = pv
+                    return path
+                queue.append(w)
+    return None
+
+
+def reference_try_augment(g, forests, e):
+    parent = {e: None}
+    queue = deque([e])
+    while queue:
+        y = queue.popleft()
+        uy, vy = g.endpoints(y)
+        for i, forest in enumerate(forests):
+            if y in forest:
+                continue
+            path = reference_forest_path(g, forest, uy, vy)
+            if path is None:
+                forests[i].add(y)
+                cur = y
+                while parent[cur] is not None:
+                    prev, j = parent[cur]
+                    forests[j].discard(cur)
+                    forests[j].add(prev)
+                    cur = prev
+                return True
+            for x in path:
+                if x not in parent:
+                    parent[x] = (y, i)
+                    queue.append(x)
+    return False
+
+
+def reference_pack(g, k):
+    n = g.num_vertices
+    if n <= 1:
+        return [set() for _ in range(k)]
+    if not g.is_connected():
+        raise PackingError("graph is disconnected")
+    forests = [set() for _ in range(k)]
+    for e in g.edge_ids():
+        if not g.is_loop(e):
+            reference_try_augment(g, forests, e)
+    if all(len(f) == n - 1 for f in forests):
+        return forests
+    raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
+
+
+def doubled(g: PseudoGraph) -> PseudoGraph:
+    """Every edge twice, the copies consecutive, as in nz_z23_flow's packing."""
+    edges = [(u, v) for _, u, v in g.edges()]
+    return PseudoGraph.from_edges(g.num_vertices, [d for d in edges for _ in range(2)])
+
+
+SMALL_CUBICS = cubic_census_upto(10)
+
+
+def packing_or_error(pack, g, k):
+    try:
+        return [list(f) for f in pack(g, k)]
+    except PackingError as exc:
+        return str(exc)
+
+
+class TestRootedForests:
+    """The rooted-forest packer against the breadth-first-search packer above."""
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 22),
+        st.integers(0, 4),
+        st.sampled_from([2, 3]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_forests_as_the_search_packer(self, n, m, holes, k, seed):
+        # multigraphs with loops, parallel edges and holes in the id range
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, n, m)
+        for e in rng.sample(g.edge_ids(), min(holes, g.num_edges)):
+            g.remove_edge(e)
+        want = packing_or_error(reference_pack, g, k)
+        assert packing_or_error(flows_trees._pack_spanning_trees, g, k) == want
+
+    @given(st.sampled_from(SMALL_CUBICS), st.sampled_from([2, 3]), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_same_forests_on_doubled_cubics(self, g, k, holes):
+        h = doubled(g)
+        for e in h.edge_ids()[:holes]:
+            h.remove_edge(e)
+        want = packing_or_error(reference_pack, h, k)
+        assert packing_or_error(flows_trees._pack_spanning_trees, h, k) == want
+
+    @given(st.integers(1, 9), st.integers(0, 40), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_path_query_equals_search_after_links_and_cuts(self, n, steps, seed):
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, n, 2 * n + 2)
+        tree = flows_trees._RootedForest(flows_trees._edge_ends(g), n)
+        forest = set()
+        for _ in range(steps):
+            e = rng.choice(g.edge_ids())
+            u, v = g.endpoints(e)
+            if e in forest:
+                forest.discard(e)
+                tree.cut(e)
+            elif reference_forest_path(g, forest, u, v) is None:
+                forest.add(e)
+                tree.link(e)
+            s, t = rng.randrange(n), rng.randrange(n)
+            assert tree.path(s, t) == reference_forest_path(g, forest, s, t)
+        for s, t in product(range(n), repeat=2):
+            assert tree.path(s, t) == reference_forest_path(g, forest, s, t)
+
+    def test_a_link_inside_one_tree_raises(self):
+        g = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        tree = flows_trees._RootedForest(flows_trees._edge_ends(g), 3)
+        tree.link(0)
+        tree.link(1)
+        with pytest.raises(VerificationError, match="close a cycle"):
+            tree.link(2)
+        assert sorted(tree.path(0, 2)) == [0, 1]
 
 
 class TestParitySubgraph:
@@ -432,6 +582,80 @@ class TestOutputChecks:
         )
         with pytest.raises(VerificationError, match="not nowhere-zero conserving"):
             lift_flow(lift, theta)
+
+
+    def test_a_forest_with_a_cycle_raises(self, monkeypatch):
+        # the path query reports every two vertices as disconnected
+        monkeypatch.setattr(flows_trees._RootedForest, "path", lambda self, s, t: None)
+        with pytest.raises(VerificationError, match="has a cycle"):
+            pack_two_spanning_trees(k4())
+
+    def test_overlapping_forests_raise(self, monkeypatch):
+        # each forest answers with the path of the next one where it has one
+        made = []
+        init, path = flows_trees._RootedForest.__init__, flows_trees._RootedForest.path
+
+        def register(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        def next_forests_path(self, s, t):
+            own = path(self, s, t)
+            other = path(made[(made.index(self) + 1) % len(made)], s, t)
+            return None if own is None else other or own
+
+        monkeypatch.setattr(flows_trees._RootedForest, "__init__", register)
+        monkeypatch.setattr(flows_trees._RootedForest, "path", next_forests_path)
+        with pytest.raises(VerificationError, match="share edge"):
+            flows_trees._pack_spanning_trees(k5(), 3)
+
+    def test_a_tree_holding_both_copies_of_an_edge_raises(self, monkeypatch):
+        # copies 2i and 2i+1 of edge i: the first tree takes both of edge 0
+        fake = [{0, 1, 2}, {3, 4, 6}, {5, 7, 8}]
+        monkeypatch.setattr(flows_trees, "_pack_spanning_trees", lambda g, k: fake)
+        with pytest.raises(VerificationError, match="not a spanning tree of g"):
+            nz_z23_flow(k4())
+
+    def test_a_zero_edge_value_raises(self, monkeypatch):
+        monkeypatch.setattr(flows_trees, "parity_subgraph_in_tree", lambda g, t: set(g.edge_ids()))
+        with pytest.raises(VerificationError, match="leave an edge at zero"):
+            nz_z23_flow(k4())
+
+    def test_packing_checks_survive_optimize(self):
+        # the same two faults, in a python -O process, which strips asserts
+        script = """
+import sys
+from normal7 import flows_trees as ft
+from normal7.graph_core import PseudoGraph, VerificationError
+assert False, "asserts are on"
+RF = ft._RootedForest
+k5 = PseudoGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+init, path = RF.__init__, RF.path
+made = []
+def register(self, *args):
+    init(self, *args)
+    made.append(self)
+def next_forests_path(self, s, t):
+    own = path(self, s, t)
+    other = path(made[(made.index(self) + 1) % len(made)], s, t)
+    return None if own is None else other or own
+RF.__init__ = register
+for lie in (lambda self, s, t: None, next_forests_path):
+    RF.path = lie
+    try:
+        ft._pack_spanning_trees(k5, 3)
+    except VerificationError as exc:
+        print(exc)
+"""
+        src = str(Path(flows_trees.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 2
+        assert "has a cycle" in lines[0] and "share edge" in lines[1]
 
 
 class TestAutomorphisms:

@@ -8,7 +8,7 @@ import pytest
 from normal7 import normal7_pipeline
 from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeStatus, is_normal
-from normal7.cuts_reductions import find_bridges
+from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 from normal7.flows_trees import flow_edge_status, verify_flow
 from normal7.graph_core import PseudoGraph, VerificationError, attach_pendant, subdivide_edge
 from normal7.normal7_pipeline import (
@@ -244,7 +244,7 @@ class TestPendantBlock:
             block_statuses(block, col)
 
     def test_census_blocks_upto_10(self):
-        from normal7.cuts_reductions import find_bridges
+        from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 
         for g in cubic_census_upto(10):
             if find_bridges(g):
@@ -431,6 +431,18 @@ class TestNormal7Coloring:
         assert ok
         assert all(statuses[b] is EdgeStatus.POOR for b in bridges)
         assert sum(s.tag is CaseTag.Glue for s in steps) == len(bridges) + 1  # one root
+
+    def test_large_prism_ring(self):
+        # C_500 x K2 has no bridge and no 2-edge-cut, so the whole graph
+        # goes to one packing of three trees in its doubled edges
+        length = 500
+        ring = [(i, (i + 1) % length) for i in range(length)]
+        edges = ring + [(u + length, v + length) for u, v in ring]
+        edges += [(i, i + length) for i in range(length)]
+        g = PseudoGraph.from_edges(2 * length, edges)
+        assert not find_bridges(g) and not find_2_edge_cuts(g)
+        ok, _ = is_normal(normal7_coloring(g))
+        assert ok
 
     def test_disconnected(self):
         a = k4()
