@@ -27,7 +27,7 @@ from normal7.coloring_solver import (
     enumerate_normal_colorings,
 )
 from normal7.cuts_reductions import cycle_space_labels, find_bridges
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, verify_or_raise
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -358,7 +358,8 @@ def certify_k33_three_rich() -> Certificate:
         "k4_nowhere_zero_flows": k4_nz,
         "k4_three_rich_example": k4_counter,
     }
-    assert nz > 0 and two_rich
+    # the sweep's own control: without it a vacuous sweep would read "holds"
+    verify_or_raise(nz > 0 and two_rich, "the K_3,3 sweep never saw two rich edges at a vertex")
     if counterexample is not None:
         return Certificate(
             "k33-three-rich", universe, FAILS, counterexample, details

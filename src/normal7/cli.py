@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -143,7 +144,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    res = exact_chi_n(g, args.max_k, args.budget)
+    try:
+        res = exact_chi_n(g, args.max_k, args.budget)
+    except VerificationError as exc:  # the solver's witness failed its check
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     doc: Dict[str, object] = {
         "n": g.num_vertices,
         "m": g.num_edges,
@@ -219,11 +224,13 @@ def _census_records(
     lines: List[str], jobs: int, exact_up_to: int, budget: Optional[int]
 ) -> Iterator[Dict[str, object]]:
     work = partial(census_line, exact_up_to=exact_up_to, budget=budget)
-    if jobs <= 1:
+    # the pool starts every worker up front, so start no more than can be used
+    workers = min(jobs, len(lines), os.cpu_count() or 1)
+    if workers <= 1:
         for line in lines:
             yield work(line)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # map yields in input order, so output order is stable at any job count
         yield from pool.map(work, lines, chunksize=8)
 

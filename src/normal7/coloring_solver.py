@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from normal7.flows_trees import EdgeStatus, GroupFlow, union_status, values_at
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, verify_or_raise
 
 
 class ImproperColoringError(Exception):
@@ -287,8 +287,7 @@ def find_normal_coloring(
     stats = _Stats()
     for colors in _canonical_colorings(g, k, budget, stats):
         witness = EdgeColoring(g, k, colors, frozenset())
-        ok, _ = is_normal(witness)
-        assert ok
+        verify_or_raise(is_normal(witness)[0], f"the solver's {k}-coloring is not normal")
         return SolverResult(k, witness, stats.nodes, False)
     return SolverResult(None, None, stats.nodes, stats.timed_out)
 

@@ -194,53 +194,59 @@ class _RootedForest:
         par[a] = (b, eid)
 
     def cut(self, eid: int) -> None:
-        """Remove tree edge eid: its lower endpoint becomes a root."""
+        """Remove tree edge eid: its lower endpoint becomes a root.  Raises
+        VerificationError when eid is not an edge of this forest."""
         a, b = self.ends[eid]  # type: ignore[misc]
         if self.par[a] == (b, eid):
             self.par[a] = None
-        else:
+        elif self.par[b] == (a, eid):
             self.par[b] = None
+        else:
+            raise VerificationError(f"edge {eid} is not in the packed forest it leaves")
 
 
-_Swap = Tuple[int, Optional[int], int]  # (forest index, edge taken out or None, edge put in)
-
-
-def _try_augment(
-    forests: List[Set[int]], trees: List[_RootedForest], e: int
-) -> Optional[List[_Swap]]:
+def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
     """One matroid-union augmentation step: try to absorb edge e.
 
     Breadth-first over exchanges: edge y may enter forest i directly when
     its endpoints lie in different trees there, or in place of any edge on
-    the forest path between them.  Returns the swaps made along the
-    shortest exchange chain, or None when e cannot be absorbed."""
+    the forest path between them.  owner[y] is y's forest index, or -1.
+    Applies the shortest exchange chain to owner and trees and returns
+    True, or returns False when e cannot be absorbed."""
     ends = trees[0].ends
     parent: Dict[int, Optional[Tuple[int, int]]] = {e: None}
     queue = deque([e])
     while queue:
         y = queue.popleft()
         uy, vy = ends[y]  # type: ignore[misc]
-        for i, forest in enumerate(forests):
-            if y in forest:
+        for i, tree in enumerate(trees):
+            if owner[y] == i:
                 continue
-            path = trees[i].path(uy, vy)
+            path = tree.path(uy, vy)
             if path is None:
-                # Direct insertion, then unwind the exchange chain.
-                forests[i].add(y)
-                swaps: List[_Swap] = [(i, None, y)]
-                cur = y
-                while parent[cur] is not None:
-                    prev, j = parent[cur]  # type: ignore[misc]
-                    forests[j].discard(cur)
-                    forests[j].add(prev)
-                    swaps.append((j, cur, prev))
-                    cur = prev
-                return swaps
+                # Direct insertion, then unwind the exchange chain: each
+                # edge on it moves into the forest whose path it opened.
+                chain = []  # (forest entered, edge, forest left or -1)
+                x, into = y, i
+                while parent[x] is not None:
+                    prev, j = parent[x]  # type: ignore[misc]
+                    chain.append((into, x, j))
+                    x, into = prev, j
+                chain.append((into, x, -1))
+                # every cut first leaves a subforest of the result, so each
+                # link then joins two different trees
+                for _, x, out in chain:
+                    if out >= 0:
+                        trees[out].cut(x)
+                for into, x, _ in chain:
+                    owner[x] = into
+                    trees[into].link(x)
+                return True
             for x in path:
                 if x not in parent:
                     parent[x] = (y, i)
                     queue.append(x)
-    return None
+    return False
 
 
 def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
@@ -250,40 +256,20 @@ def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
     return len(g.connected_components(skip=others)) == 1
 
 
-def _check_swapped_forests(
-    n: int, ends: List[Optional[Tuple[int, int]]], forests: List[Set[int]], swaps: List[_Swap]
-) -> None:
-    """Raise VerificationError unless the forests an augmentation changed
-    are still forests and the edges it put in lie in no other forest.
-    The untouched forests and edges were checked when they last changed."""
-    for i, _, x in swaps:
-        verify_or_raise(
-            x in forests[i] and sum(x in f for f in forests) == 1,
-            f"packed forests share edge {x}",
-        )
-    for i in {i for i, _, _ in swaps}:
-        comp = list(range(n))  # union-find with path halving
-        for x in forests[i]:
-            a, b = ends[x]  # type: ignore[misc]
-            while comp[a] != a:
-                comp[a] = a = comp[comp[a]]
-            while comp[b] != b:
-                comp[b] = b = comp[comp[b]]
-            if a == b:
-                raise VerificationError(f"packed forest {i} has a cycle through edge {x}")
-            comp[a] = b
-
-
 def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
     """k edge-disjoint spanning trees of g as edge-id sets, or PackingError.
 
     Matroid-union augmentation over the edges in id order (loops skipped).
-    Each forest is an edge set plus a _RootedForest mirror of it (parent
-    pointers over one ends array), so an exchange query walks up from the
-    two endpoints instead of searching the forest.  A forest path is unique,
-    so the query returns the same edges in the same order (t to s) that a
-    search would, and the sets see the same add/discard sequence.  Every
-    augmentation is re-checked before the next one starts.
+    The only state is one _RootedForest per forest (parent pointers over
+    one ends array) plus owner[eid], the index of the forest holding each
+    edge, or -1.  An exchange query walks up from the two endpoints instead
+    of searching the forest; a forest path is unique, so it returns the
+    edges a search would.  Nothing is held twice, so no copy needs
+    re-checking against another: each edge has one owner, so the forests
+    are disjoint by construction; link raises VerificationError on an edge
+    that would close a cycle, and cut on an edge the forest does not hold.
+    The edge sets are read off owner once, at the end, and each is checked
+    to be a spanning tree.
     """
     n = g.num_vertices
     if n <= 1:
@@ -291,21 +277,15 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
     if not g.is_connected():
         raise PackingError("graph is disconnected")
     ends = _edge_ends(g)
-    forests: List[Set[int]] = [set() for _ in range(k)]
+    owner = [-1] * len(ends)
     trees = [_RootedForest(ends, n) for _ in range(k)]
     for e in g.edge_ids():
-        if g.is_loop(e):
-            continue
-        swaps = _try_augment(forests, trees, e)
-        if swaps:
-            _check_swapped_forests(n, ends, forests, swaps)
-            # every cut first leaves a subforest of the checked result, so
-            # each link then joins two different trees
-            for i, out, _ in swaps:
-                if out is not None:
-                    trees[i].cut(out)
-            for i, _, x in swaps:
-                trees[i].link(x)
+        if not g.is_loop(e):
+            _try_augment(owner, trees, e)
+    forests: List[Set[int]] = [set() for _ in range(k)]
+    for eid, i in enumerate(owner):
+        if i >= 0:
+            forests[i].add(eid)
     if all(len(f) == n - 1 for f in forests):
         for f in forests:
             verify_or_raise(_is_spanning_tree(g, f), "a packed forest is not a spanning tree")
@@ -415,7 +395,7 @@ def flow_two_edges_equal(g: PseudoGraph, e: int, f: int) -> GroupFlow:
         h.remove_edge(f)
     t1, t2 = _pack_spanning_trees(h, 2)
     flow = nz_flow_from_tree_pair(g, TreePair(frozenset(t1), frozenset(t2)))
-    assert flow.values[e] == flow.values[f]
+    verify_or_raise(flow.values[e] == flow.values[f], f"edges {e} and {f} got different values")
     return flow
 
 
@@ -456,7 +436,10 @@ def flow_three_edges_distinct(g: PseudoGraph, e: int, f: int, gg: int) -> GroupF
         cyc = set(tree.path(*g.endpoints(e)) or []) | {e}
         ids = set(g.edge_ids())
         flow = flow_from_even_subgraphs(g, ids - a1, ids - (a2 ^ cyc))
-    assert flow.values[e] != flow.values[f] and flow.values[e] != flow.values[gg]
+    verify_or_raise(
+        flow.values[e] not in (flow.values[f], flow.values[gg]),
+        f"edge {e} shares its value with edge {f} or {gg}",
+    )
     return flow
 
 

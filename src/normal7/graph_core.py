@@ -244,46 +244,6 @@ def attach_pendant(g: PseudoGraph, v: int) -> Tuple[PseudoGraph, int, int]:
     return h, leaf, eid
 
 
-def contract_edge_set(
-    g: PseudoGraph, edge_set: Iterable[int]
-) -> Tuple[PseudoGraph, Dict[int, int], Dict[int, int]]:
-    """Contract every edge in edge_set simultaneously.
-
-    Vertices of each component spanned by edge_set merge into one vertex of
-    the result; surviving edges (those outside edge_set) keep their mutual
-    order and are returned through an id correspondence.  Edges whose
-    endpoints merge become loops.
-
-    Returns (contracted graph, edge map old id -> new id, vertex map).
-    """
-    contracted = set(edge_set)
-    for eid in contracted:
-        g._check_edge(eid)
-    parent = list(range(g.num_vertices))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for eid in sorted(contracted):
-        u, v = g.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = sorted({find(v) for v in g.vertices()})
-    new_index = {r: i for i, r in enumerate(roots)}
-    vertex_map = {v: new_index[find(v)] for v in g.vertices()}
-    h = PseudoGraph(len(roots))
-    edge_map: Dict[int, int] = {}
-    for eid, u, v in g.edges():
-        if eid in contracted:
-            continue
-        edge_map[eid] = h.add_edge(vertex_map[u], vertex_map[v])
-    return h, edge_map, vertex_map
-
-
 def induced_subgraph(
     g: PseudoGraph, keep: Iterable[int]
 ) -> Tuple[PseudoGraph, Dict[int, int], Dict[int, int]]:

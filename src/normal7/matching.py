@@ -8,7 +8,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from normal7.cuts_reductions import find_bridges
 from normal7.flows_trees import Z, GroupFlow, verified_nz_flow, verify_flow
-from normal7.graph_core import PseudoGraph, contract_edge_set, verify_or_raise
+from normal7.graph_core import PseudoGraph, verify_or_raise
 
 
 class MatchingError(Exception):
@@ -90,7 +90,7 @@ def perfect_matching_through(g: PseudoGraph, e: int) -> PerfectMatching:
     if not _pm_extend(g, used, chosen):
         raise MatchingError(f"no perfect matching through edge {e}")
     covered = [w for eid in chosen for w in g.endpoints(eid)]
-    assert sorted(covered) == list(g.vertices())
+    verify_or_raise(sorted(covered) == list(g.vertices()), "a matched vertex is missed or repeated")
     return PerfectMatching(frozenset(chosen))
 
 
@@ -146,14 +146,25 @@ def complementary_two_factor(g: PseudoGraph, m: PerfectMatching) -> List[FactorC
 
 
 def contract_two_factor(g: PseudoGraph, m: PerfectMatching) -> TwoFactorLift:
-    """Contract the complementary 2-factor; one vertex remains per cycle."""
+    """Contract the complementary 2-factor; one vertex remains per cycle.
+
+    h is built from the cycle walk alone, the one copy of the 2-factor
+    kept: vertex i of h is the cycle with the i-th smallest lowest vertex,
+    and the matching edges follow in ascending id order, each with its
+    endpoints in stored order.  In a cubic graph the cycles partition the
+    vertices, so every matching edge joins two cycles (or one, as a loop)
+    and there is no second contraction to compare against.
+    """
     cycles = complementary_two_factor(g, m)
-    factor = [e for e in g.edge_ids() if e not in m.edges]
-    h, edge_map, vertex_map = contract_edge_set(g, factor)
-    assert h.num_vertices == len(cycles)
-    # Contraction must collapse each cycle to a single vertex.
-    for cyc in cycles:
-        assert len({vertex_map[v] for v in cyc.vertices}) == 1
+    cycle_of = [-1] * g.num_vertices
+    for i, cyc in enumerate(sorted(cycles, key=lambda c: min(c.vertices))):
+        for v in cyc.vertices:
+            cycle_of[v] = i
+    h = PseudoGraph(len(cycles))
+    edge_map: Dict[int, int] = {}
+    for eid in sorted(m.edges):
+        u, v = g.endpoints(eid)
+        edge_map[eid] = h.add_edge(cycle_of[u], cycle_of[v])
     return TwoFactorLift(g, h, edge_map, cycles)
 
 

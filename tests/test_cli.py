@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from normal7 import cli, normal7_pipeline
+from normal7 import cli, coloring_solver, normal7_pipeline
 from normal7.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -160,6 +160,13 @@ class TestExact:
         assert rc == EXIT_INPUT and not out
         assert err.startswith("error: ") and message in err
 
+    def test_a_rejected_witness_is_internal(self, capsys, monkeypatch):
+        monkeypatch.setattr(coloring_solver, "is_normal", lambda col: (False, {}))
+        rc, out, err = run(capsys, ["exact"], stdin=K4_G6, monkeypatch=monkeypatch)
+        assert rc == EXIT_VERIFY and not out
+        assert err.startswith("internal failure: VerificationError: ")
+        assert "Traceback" not in err
+
     def test_budget_is_inconclusive(self, capsys, monkeypatch):
         rc, out, _ = run(
             capsys, ["exact", "--budget", "2"], stdin=PETERSEN_G6,
@@ -188,6 +195,35 @@ class TestCensus:
         assert summary["summary"] is True
         assert summary["graphs"] == 3 and summary["failures"] == 1
         assert summary["exact_chi_histogram"] == {"3": 1}
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [(1000, 8, [3]), (1000, 2, [2]), (2, None, []), (1, 8, [])]
+    )
+    def test_jobs_start_no_more_workers_than_lines_or_cpus(
+        self, capsys, monkeypatch, tmp_path, jobs, cpus, workers
+    ):
+        started = []
+
+        class InProcessPool:  # records the pool size, starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        path = tmp_path / "list.g6"
+        path.write_text(f"{K4_G6}\n{PETERSEN_G6}\n{PRISM_G6}\n")
+        rc, out, _ = run(capsys, ["census", str(path), "--jobs", str(jobs)])
+        assert rc == EXIT_OK and len(out.splitlines()) == 4
+        assert started == workers
 
     def test_parallel_jobs_match_serial_order(self, capsys, tmp_path):
         path = tmp_path / "list.g6"

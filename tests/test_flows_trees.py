@@ -284,7 +284,7 @@ SMALL_CUBICS = cubic_census_upto(10)
 
 def packing_or_error(pack, g, k):
     try:
-        return [list(f) for f in pack(g, k)]
+        return [sorted(f) for f in pack(g, k)]
     except PackingError as exc:
         return str(exc)
 
@@ -346,6 +346,15 @@ class TestRootedForests:
         tree.link(1)
         with pytest.raises(VerificationError, match="close a cycle"):
             tree.link(2)
+        assert sorted(tree.path(0, 2)) == [0, 1]
+
+    def test_a_cut_outside_the_forest_raises(self):
+        g = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        tree = flows_trees._RootedForest(flows_trees._edge_ends(g), 3)
+        tree.link(0)
+        tree.link(1)
+        with pytest.raises(VerificationError, match="not in the packed forest"):
+            tree.cut(2)
         assert sorted(tree.path(0, 2)) == [0, 1]
 
 
@@ -587,7 +596,7 @@ class TestOutputChecks:
     def test_a_forest_with_a_cycle_raises(self, monkeypatch):
         # the path query reports every two vertices as disconnected
         monkeypatch.setattr(flows_trees._RootedForest, "path", lambda self, s, t: None)
-        with pytest.raises(VerificationError, match="has a cycle"):
+        with pytest.raises(VerificationError, match="close a cycle"):
             pack_two_spanning_trees(k4())
 
     def test_overlapping_forests_raise(self, monkeypatch):
@@ -606,7 +615,7 @@ class TestOutputChecks:
 
         monkeypatch.setattr(flows_trees._RootedForest, "__init__", register)
         monkeypatch.setattr(flows_trees._RootedForest, "path", next_forests_path)
-        with pytest.raises(VerificationError, match="share edge"):
+        with pytest.raises(VerificationError, match="not in the packed forest it leaves"):
             flows_trees._pack_spanning_trees(k5(), 3)
 
     def test_a_tree_holding_both_copies_of_an_edge_raises(self, monkeypatch):
@@ -655,7 +664,8 @@ for lie in (lambda self, s, t: None, next_forests_path):
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert len(lines) == 2
-        assert "has a cycle" in lines[0] and "share edge" in lines[1]
+        assert "close a cycle" in lines[0]
+        assert "not in the packed forest it leaves" in lines[1]
 
 
 class TestAutomorphisms:

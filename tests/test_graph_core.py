@@ -15,7 +15,6 @@ from normal7.graph_core import (
     Graph6Error,
     PseudoGraph,
     attach_pendant,
-    contract_edge_set,
     induced_subgraph,
     parse_edge_list,
     parse_graph6,
@@ -26,7 +25,7 @@ from normal7.graph_core import (
     write_edge_list,
     write_graph6,
 )
-from tests.corpora import k4, petersen, random_pseudograph, random_simple_graph
+from tests.corpora import random_pseudograph, random_simple_graph
 
 
 class TestContainer:
@@ -111,26 +110,6 @@ class TestSurgery:
         h, leaf, eid = attach_pendant(g, 0)
         assert h.degree(leaf) == 1 and h.endpoints(eid) == (0, leaf)
         assert g.num_vertices == 2  # input untouched
-
-    def test_contract_petersen_two_factor_leaves_five_spokes(self):
-        g = petersen()
-        cycles = list(range(10))  # eids 0..4 outer, 5..9 inner
-        h, emap, vmap = contract_edge_set(g, cycles)
-        assert h.num_vertices == 2
-        assert h.num_edges == 5
-        assert all(not h.is_loop(e) for e in h.edge_ids())
-        # All five spokes run between the two cycle vertices.
-        assert len({vmap[i] for i in range(5)}) == 1
-        assert len({vmap[i] for i in range(5, 10)}) == 1
-        assert set(emap) == set(range(10, 15))
-
-    def test_contract_k4_spanning_tree_gives_three_loops(self):
-        g = k4()  # eids: 0=(0,1) 1=(0,2) 2=(0,3) 3=(1,2) 4=(1,3) 5=(2,3)
-        h, emap, _ = contract_edge_set(g, [0, 1, 2])
-        assert h.num_vertices == 1
-        assert h.num_edges == 3
-        assert all(h.is_loop(e) for e in h.edge_ids())
-        assert set(emap) == {3, 4, 5}
 
     def test_solve_per_component(self):
         seen = []

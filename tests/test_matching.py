@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import pytest
 
 from normal7.flows_trees import GroupFlow, flow_two_edges_equal, verify_flow
@@ -14,7 +15,7 @@ from normal7.matching import (
 )
 from normal7.graph_core import PseudoGraph
 
-from tests.corpora import is_k_edge_connected, k4, k33, petersen
+from tests.corpora import corpus_graphs, is_k_edge_connected, k4, k33, petersen
 
 
 def all_perfect_matchings(g):
@@ -35,6 +36,34 @@ def bridged_cubic():
         6,
         [(0, 1), (0, 1), (0, 2), (1, 2), (3, 4), (3, 4), (3, 5), (4, 5), (2, 5)],
     )
+
+
+def reference_contract(g, edge_set):
+    """Contract every edge in edge_set at once by union-find: each
+    component they span becomes the vertex numbered by the rank of its
+    smallest vertex; the other edges follow in id order.  Returns
+    (contracted graph, edge map old id -> new id)."""
+    contracted = set(edge_set)
+    parent = list(range(g.num_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for eid in sorted(contracted):
+        ru, rv = (find(x) for x in g.endpoints(eid))
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    roots = sorted({find(v) for v in g.vertices()})
+    new_index = {r: i for i, r in enumerate(roots)}
+    h = PseudoGraph(len(roots))
+    edge_map = {}
+    for eid, u, v in g.edges():
+        if eid not in contracted:
+            edge_map[eid] = h.add_edge(new_index[find(u)], new_index[find(v)])
+    return h, edge_map
 
 
 class TestPerfectMatchingThrough:
@@ -148,6 +177,25 @@ class TestContractTwoFactor:
         assert is_k_edge_connected(lift.h, 4)
         assert set(lift.edge_map) == set(spokes)
         assert [sorted(c.vertices) for c in lift.cycles] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+    def test_same_graph_as_union_find_contraction_on_the_census(self):
+        checked = 0
+        for _, g in corpus_graphs():
+            nxg = nx.Graph((u, v, {"eid": e}) for e, u, v in g.edges())
+            pairs = nx.max_weight_matching(nxg, maxcardinality=True)
+            m = PerfectMatching(frozenset(nxg.edges[p]["eid"] for p in pairs))
+            lift = contract_two_factor(g, m)
+            factor = [e for e in g.edge_ids() if e not in m.edges]
+            h, edge_map = reference_contract(g, factor)
+            assert lift.h.num_vertices == h.num_vertices == len(lift.cycles)
+            assert lift.edge_map == edge_map
+            assert list(lift.edge_map) == list(edge_map)
+            assert list(lift.h.edges()) == list(h.edges())
+            assert [lift.h.incident(v) for v in h.vertices()] == [
+                h.incident(v) for v in h.vertices()
+            ]
+            checked += 1
+        assert checked == 621
 
     def test_cyclically_4ec_input_gives_4ec_quotient(self):
         g = petersen()

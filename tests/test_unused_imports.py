@@ -1,9 +1,11 @@
-"""Every name a library or test module imports is used in that module.
+"""Every name a library or test module imports is used in that module, and
+every private module-level name of the library is read in the library.
 
-The repository has no linter, so this AST scan stands in for one: deleting
+The repository has no linter, so these AST scans stand in for one: deleting
 a function must not leave its imports behind, in the library or in the
-tests that called it.  The package ``__init__`` imports names only to
-re-export them and is skipped, as is the tests' empty ``__init__``.
+tests that called it, and replacing a helper must not leave the old one
+behind.  The package ``__init__`` imports names only to re-export them and
+is skipped by the import scan, as is the tests' empty ``__init__``.
 """
 
 import ast
@@ -33,7 +35,7 @@ def used_names(tree: ast.Module):
     """Names read anywhere, including inside quoted annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, ast.arg):
@@ -71,3 +73,45 @@ def test_scan_flags_an_unused_import():
     )
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["List"]
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) for every module-level ``_name`` function, class or
+    assignment target; dunder names are not private helpers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_helper_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    read = set().union(*(used_names(t) for t in trees.values()))
+    read |= {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    dead = [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree)
+        if name not in read
+    ]
+    assert not dead, f"private names nothing in src/normal7 reads: {dead}"
+
+
+def test_scan_flags_a_dead_private_helper():
+    tree = ast.parse(
+        "_LIMIT = 3\n"
+        "_Pair = tuple\n"
+        "def _used(): return _LIMIT\n"
+        "def _dead(): return _used()\n"
+        "class _Old: pass\n"
+        "__all__ = []\n"
+    )
+    read = used_names(tree)
+    assert [n for n, _ in private_definitions(tree) if n not in read] == ["_Pair", "_dead", "_Old"]
