@@ -129,8 +129,8 @@ def rung_lobes_graph() -> PseudoGraph:
 # -- cycle space sweeps ---------------------------------------------------------
 
 
-def sweep_cycle_space(g: PseudoGraph, k: int = 3) -> Iterator[List[int]]:
-    """Every conserving Z_2^k flow exactly once, as a value list over edge ids.
+def sweep_cycle_space(g: PseudoGraph) -> Iterator[List[int]]:
+    """Every conserving Z_2^3 flow exactly once, as a value list over edge ids.
 
     Coefficient vectors over the fundamental-cycle basis run in lexicographic
     order starting from all zeros, so the first yield is the zero flow.
@@ -146,7 +146,7 @@ def sweep_cycle_space(g: PseudoGraph, k: int = 3) -> Iterator[List[int]]:
             if mask >> bit & 1:
                 per_bit[bit].append(i)
     coeffs = [0] * dim
-    limit = 1 << k
+    limit = 8  # the size of Z_2^3
     yield list(values)
     # Odometer over coefficients; only edges on the stepped cycle change.
     while True:
@@ -323,7 +323,7 @@ def _three_rich_sweep(g: PseudoGraph) -> Tuple[int, int, Optional[str], bool]:
     nz = 0
     counterexample: Optional[str] = None
     two_rich_seen = False
-    for values in sweep_cycle_space(g, 3):
+    for values in sweep_cycle_space(g):
         universe += 1
         if 0 in values:
             continue
@@ -443,7 +443,7 @@ def certify_fig6_flow_poor() -> Certificate:
     universe = 0
     nz = 0
     counterexample: Optional[str] = None
-    for values in sweep_cycle_space(g, 3):
+    for values in sweep_cycle_space(g):
         universe += 1
         if 0 in values:
             continue

@@ -221,23 +221,17 @@ def _canonical_colorings(
     max_used = 0
     degs = [g.degree(v) for v in g.vertices()]
     anchor = next((v for v in g.vertices() if degs[v] == max(degs)), None)
-    preassigned: List[int] = []
     if anchor is not None and degs[anchor] == 3:
         if k < 3:
             return
         for col, eid in enumerate(sorted(set(g.incident(anchor))), start=1):
             if not assign_ok(eid, col):
-                for done in reversed(preassigned):
-                    undo(done)
                 return
-            preassigned.append(eid)
         max_used = 3
 
     pending = [e for e in order if color[e] == 0]
     if not pending:
         yield {e: color[e] for e in order}
-        for done in reversed(preassigned):
-            undo(done)
         return
 
     depth = 0
@@ -256,10 +250,6 @@ def _canonical_colorings(
         for col in iters[depth]:
             if budget is not None and stats.nodes >= budget:
                 stats.timed_out = True
-                for d in range(depth - 1, -1, -1):
-                    undo(pending[d])
-                for done in reversed(preassigned):
-                    undo(done)
                 return
             stats.nodes += 1
             if assign_ok(e, col):
@@ -276,8 +266,6 @@ def _canonical_colorings(
             if depth >= 0:
                 max_used = saved_max[depth]
                 undo(pending[depth])
-    for done in reversed(preassigned):
-        undo(done)
 
 
 def find_normal_coloring(

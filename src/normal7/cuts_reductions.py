@@ -115,6 +115,14 @@ def find_bridges(g: PseudoGraph) -> List[int]:
     return sorted(e for e, label in labels.items() if label == 0)
 
 
+def require_bridgeless_cubic(g: PseudoGraph, who: str) -> None:
+    """Raise ValueError naming who unless g is cubic and bridgeless."""
+    if not g.is_cubic():
+        raise ValueError(f"{who} requires a cubic graph")
+    if find_bridges(g):
+        raise ValueError(f"{who} requires a bridgeless graph")
+
+
 def _cut_from_sides(g: PseudoGraph, edges: Iterable[int], comps: List[List[int]]) -> EdgeCut:
     verify_or_raise(len(comps) == 2, f"edges {sorted(edges)} do not split the graph in two")
     side_a, side_b = comps

@@ -2,6 +2,14 @@
 
 Group elements of Z_2^k are stored as k-bit ints; addition is xor.  The
 generator convention is fixed project-wide: x = 001, y = 010, z = 100.
+
+Every tree flow comes from one tree representation: the packer returns
+edge-disjoint spanning trees as rooted forests (parent pointers), and each
+flow is read off them.  A tree's parity subgraph, found by one
+children-first walk of its parent pointers, has an even complement; bit i
+of an edge's value is set when the edge lies outside the i-th parity
+subgraph.  A fundamental cycle is the tree's own path between the ends of
+a non-tree edge.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges, two_cut_reduction
 from normal7.graph_core import PseudoGraph, VerificationError, solve_per_component, verify_or_raise
@@ -39,12 +47,6 @@ class GroupFlow:
 class FlowCheck:
     conserving: bool
     nowhere_zero: bool
-
-
-@dataclass(frozen=True)
-class TreePair:
-    t1: FrozenSet[int]
-    t2: FrozenSet[int]
 
 
 def verify_flow(flow: GroupFlow) -> FlowCheck:
@@ -204,6 +206,38 @@ class _RootedForest:
         else:
             raise VerificationError(f"edge {eid} is not in the packed forest it leaves")
 
+    def edges(self) -> Set[int]:
+        """Ids of the forest's edges, one parent edge per non-root vertex."""
+        return {up[1] for up in self.par if up is not None}
+
+    def parity_subgraph(self, odd: Sequence[int]) -> Set[int]:
+        """The edges A of this spanning tree with deg_A(v) = odd[v] (mod 2)
+        at every vertex.
+
+        Walks the parent pointers children first: once a vertex's children
+        are settled, it keeps its parent edge exactly when its count is
+        odd.  Every choice is forced, so A is unique within the tree."""
+        par = self.par
+        count = list(odd)
+        unsettled = [0] * len(par)  # children not yet walked
+        for up in par:
+            if up is not None:
+                unsettled[up[0]] += 1
+        ready = [v for v, c in enumerate(unsettled) if c == 0]
+        result: Set[int] = set()
+        while ready:
+            v = ready.pop()
+            if par[v] is None:
+                continue
+            p, e = par[v]  # type: ignore[misc]
+            if count[v] % 2:
+                result.add(e)
+                count[p] += 1
+            unsettled[p] -= 1
+            if not unsettled[p]:
+                ready.append(p)
+        return result
+
 
 def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
     """One matroid-union augmentation step: try to absorb edge e.
@@ -256,8 +290,8 @@ def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
     return len(g.connected_components(skip=others)) == 1
 
 
-def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
-    """k edge-disjoint spanning trees of g as edge-id sets, or PackingError.
+def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
+    """k edge-disjoint spanning trees of g as rooted forests, or PackingError.
 
     Matroid-union augmentation over the edges in id order (loops skipped).
     The only state is one _RootedForest per forest (parent pointers over
@@ -268,124 +302,49 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[Set[int]]:
     re-checking against another: each edge has one owner, so the forests
     are disjoint by construction; link raises VerificationError on an edge
     that would close a cycle, and cut on an edge the forest does not hold.
-    The edge sets are read off owner once, at the end, and each is checked
-    to be a spanning tree.
+    The forests are returned as they are, the one tree representation every
+    flow here is built from; each is checked once to be a spanning tree.
     """
     n = g.num_vertices
+    ends = _edge_ends(g)
+    trees = [_RootedForest(ends, n) for _ in range(k)]
     if n <= 1:
-        return [set() for _ in range(k)]
+        return trees
     if not g.is_connected():
         raise PackingError("graph is disconnected")
-    ends = _edge_ends(g)
     owner = [-1] * len(ends)
-    trees = [_RootedForest(ends, n) for _ in range(k)]
     for e in g.edge_ids():
         if not g.is_loop(e):
             _try_augment(owner, trees, e)
-    forests: List[Set[int]] = [set() for _ in range(k)]
-    for eid, i in enumerate(owner):
-        if i >= 0:
-            forests[i].add(eid)
-    if all(len(f) == n - 1 for f in forests):
-        for f in forests:
-            verify_or_raise(_is_spanning_tree(g, f), "a packed forest is not a spanning tree")
-        return forests
-    raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
+    forests = [t.edges() for t in trees]
+    if any(len(f) != n - 1 for f in forests):
+        raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
+    for f in forests:
+        verify_or_raise(_is_spanning_tree(g, f), "a packed forest is not a spanning tree")
+    return trees
 
 
-def pack_two_spanning_trees(g: PseudoGraph) -> TreePair:
-    """Two edge-disjoint spanning trees, or a PackingError."""
-    t1, t2 = _pack_spanning_trees(g, 2)
-    return TreePair(frozenset(t1), frozenset(t2))
+def _odd_degrees(g: PseudoGraph) -> List[int]:
+    """The parity vector of g's degrees, the target of every parity subgraph."""
+    return [g.degree(v) % 2 for v in g.vertices()]
 
 
-def parity_subgraph_in_tree(g: PseudoGraph, tree: Iterable[int]) -> Set[int]:
-    """The parity subgraph of g contained in the given spanning tree.
-
-    Returns A with deg_A(v) = deg_g(v) (mod 2) for all v; leaf-stripping
-    makes the choice at every step forced, so A is unique within the tree.
-    """
-    tset = set(tree)
-    if not _is_spanning_tree(g, tset):
-        raise ValueError("not a spanning tree of the graph")
-    need = [g.degree(v) % 2 for v in g.vertices()]
-    adj: Dict[int, List[int]] = {v: [] for v in g.vertices()}
-    for eid in tset:
-        u, v = g.endpoints(eid)
-        adj[u].append(eid)
-        adj[v].append(eid)
-    removed: Set[int] = set()
-    result: Set[int] = set()
-    leaves = deque(v for v in g.vertices() if len(adj[v]) == 1)
-    dead: Set[int] = set()
-    while leaves:
-        v = leaves.popleft()
-        live = [e for e in adj[v] if e not in removed]
-        if not live or v in dead:
-            continue
-        (t,) = live
-        w = g.other_endpoint(t, v)
-        if need[v] % 2 == 1:
-            result.add(t)
-            need[w] += 1
-        removed.add(t)
-        dead.add(v)
-        if len([e for e in adj[w] if e not in removed]) == 1:
-            leaves.append(w)
-    for v in g.vertices():
-        inc = sum(1 for e in g.incident(v) if e in result)
-        assert inc % 2 == g.degree(v) % 2
-    return result
+def _complement_values(g: PseudoGraph, parities: Sequence[Set[int]]) -> Dict[int, GF2Vector]:
+    """values[e] holds generator i (x, y, z) when e lies outside parities[i].
+    The complement of a parity subgraph is even, so every bit conserves."""
+    return {e: sum(b for b, a in zip((X, Y, Z), parities) if e not in a) for e in g.edge_ids()}
 
 
 # -- flow constructions --------------------------------------------------------
-
-
-def flow_from_even_subgraphs(
-    g: PseudoGraph, p1: Iterable[int], p2: Iterable[int]
-) -> GroupFlow:
-    """The Z_2^2 flow whose x-support is p1 and y-support is p2.
-
-    Both sets must be even subgraphs and together cover every edge.
-    """
-    s1, s2 = set(p1), set(p2)
-    ids = set(g.edge_ids())
-    for s in (s1, s2):
-        if not s <= ids:
-            raise ValueError("even subgraph contains unknown edges")
-        for v in g.vertices():
-            if sum(1 for e in g.incident(v) if e in s) % 2:
-                raise ValueError("subgraph is not even")
-    if s1 | s2 != ids:
-        raise ValueError("even subgraphs must cover every edge")
-    values = {e: (X if e in s1 else 0) | (Y if e in s2 else 0) for e in ids}
-    return verified_nz_flow(GroupFlow(g, 2, values))
-
-
-def nz_flow_from_tree_pair(g: PseudoGraph, tp: TreePair) -> GroupFlow:
-    """Nowhere-zero Z_2^2 flow from two disjoint spanning trees.
-
-    Every edge outside both trees gets x+y; tree edges avoid zero because
-    the trees are disjoint.
-    """
-    if tp.t1 & tp.t2:
-        raise ValueError("trees must be edge-disjoint")
-    a1 = parity_subgraph_in_tree(g, tp.t1)
-    a2 = parity_subgraph_in_tree(g, tp.t2)
-    ids = set(g.edge_ids())
-    flow = flow_from_even_subgraphs(g, ids - a1, ids - a2)
-    for e in ids:
-        if e not in tp.t1 and e not in tp.t2:
-            assert flow.values[e] == X | Y
-    return flow
 
 
 def flow_two_edges_equal(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     """Nowhere-zero Z_2^2 flow with equal values on e and f.
 
     Works on any pseudograph in which g-e-f still packs two spanning trees
-    (4-edge-connectivity is enough).  Both named edges end up outside both
-    trees and so receive x+y.
+    (4-edge-connectivity is enough).  Every edge outside both trees, the
+    named two among them, lies outside both parity subgraphs and so
+    receives x+y; a tree edge avoids zero because the trees are disjoint.
     """
     for d in (e, f):
         g.endpoints(d)
@@ -393,8 +352,9 @@ def flow_two_edges_equal(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     h.remove_edge(e)
     if f != e:
         h.remove_edge(f)
-    t1, t2 = _pack_spanning_trees(h, 2)
-    flow = nz_flow_from_tree_pair(g, TreePair(frozenset(t1), frozenset(t2)))
+    odd = _odd_degrees(g)
+    parities = [t.parity_subgraph(odd) for t in _pack_spanning_trees(h, 2)]
+    flow = verified_nz_flow(GroupFlow(g, 2, _complement_values(g, parities)))
     verify_or_raise(flow.values[e] == flow.values[f], f"edges {e} and {f} got different values")
     return flow
 
@@ -412,7 +372,8 @@ def flow_three_edges_distinct(g: PseudoGraph, e: int, f: int, gg: int) -> GroupF
     e, f, gg must share a vertex; f and gg may coincide, e may not equal
     either.  Loops take the free-value route; otherwise pack trees in
     g-e-f, flip the second parity subgraph along the fundamental cycle of
-    e so that e drops out of the second even subgraph.
+    e (the second tree's path between its ends, plus e) so that e drops out
+    of the second even subgraph.
     """
     if e in (f, gg):
         raise ValueError("cannot separate an edge's value from itself")
@@ -426,16 +387,12 @@ def flow_three_edges_distinct(g: PseudoGraph, e: int, f: int, gg: int) -> GroupF
         h.remove_edge(e)
         h.remove_edge(f)
         t1, t2 = _pack_spanning_trees(h, 2)
-        if gg in t2:
+        if gg in t2.edges():
             t1, t2 = t2, t1
-        a1 = parity_subgraph_in_tree(g, t1)
-        a2 = parity_subgraph_in_tree(g, t2)
-        tree = _RootedForest(_edge_ends(g), g.num_vertices)
-        for x in t2:
-            tree.link(x)
-        cyc = set(tree.path(*g.endpoints(e)) or []) | {e}
-        ids = set(g.edge_ids())
-        flow = flow_from_even_subgraphs(g, ids - a1, ids - (a2 ^ cyc))
+        odd = _odd_degrees(g)
+        cycle = set(t2.path(*g.endpoints(e))) | {e}  # type: ignore[arg-type]
+        parities = [t1.parity_subgraph(odd), t2.parity_subgraph(odd) ^ cycle]
+        flow = verified_nz_flow(GroupFlow(g, 2, _complement_values(g, parities)))
     verify_or_raise(
         flow.values[e] not in (flow.values[f], flow.values[gg]),
         f"edge {e} shares its value with edge {f} or {gg}",
@@ -538,18 +495,14 @@ def _nz3_three_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
     for eid, u, v in g.edges():
         for _ in range(2):
             copy_to_orig[doubled.add_edge(u, v)] = eid
-    forests = _pack_spanning_trees(doubled, 3)
-    trees = [{copy_to_orig[c] for c in forest} for forest in forests]
-    for t in trees:  # a tree never holds both copies of an edge
-        verify_or_raise(_is_spanning_tree(g, t), "a packed tree is not a spanning tree of g")
-    parities = [parity_subgraph_in_tree(g, t) for t in trees]
-    values: Dict[int, GF2Vector] = {}
-    for e in g.edge_ids():
-        val = 0
-        for bit, par in zip((X, Y, Z), parities):
-            if e not in par:
-                val |= bit
-        values[e] = val
+    # each packed forest is a spanning tree of the doubled graph, so it
+    # never holds both copies of an edge and maps onto a spanning tree of g
+    odd = _odd_degrees(g)
+    parities = [
+        {copy_to_orig[c] for c in t.parity_subgraph(odd)}
+        for t in _pack_spanning_trees(doubled, 3)
+    ]
+    values = _complement_values(g, parities)
     verify_or_raise(all(values.values()), "the three parity complements leave an edge at zero")
     return values
 
@@ -609,11 +562,10 @@ def automorphism_extending(
         if v in span:
             raise ValueError("src vectors are linearly dependent")
         span |= {v ^ w for w in span}
-    pairs = tuple(zip(src, dst))
-    for auto in all_automorphisms():
-        if all(auto.apply(s) == d for s, d in pairs):
-            return auto
-    raise ValueError("dst vectors are linearly dependent")
+    auto = find_automorphism(pairs=zip(src, dst))
+    if auto is None:
+        raise ValueError("dst vectors are linearly dependent")
+    return auto
 
 
 def find_automorphism(

@@ -341,7 +341,12 @@ def parse_graph6(line) -> PseudoGraph:
     column-major upper-triangle order, six bits per byte, high bit first.
     """
     if isinstance(line, str):
-        data = line.strip().encode("ascii", errors="strict")
+        try:
+            data = line.strip().encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(
+                f"non-ASCII character {exc.object[exc.start]!r}", exc.start
+            ) from None
     else:
         data = bytes(line).strip()
     if data.startswith(b">>graph6<<"):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from normal7.cuts_reductions import find_bridges
+from normal7.cuts_reductions import require_bridgeless_cubic
 from normal7.flows_trees import Z, GroupFlow, verified_nz_flow, verify_flow
 from normal7.graph_core import PseudoGraph, verify_or_raise
 
@@ -46,13 +46,6 @@ class TwoFactorLift:
     cycles: List[FactorCycle]
 
 
-def _check_matchable(g: PseudoGraph) -> None:
-    if not g.is_cubic():
-        raise ValueError("graph must be cubic")
-    if find_bridges(g):
-        raise ValueError("graph must be bridgeless")
-
-
 def _pm_extend(g: PseudoGraph, used: List[bool], chosen: List[int]) -> bool:
     v = next((w for w in g.vertices() if not used[w]), None)
     if v is None:
@@ -82,7 +75,7 @@ def _pm_extend(g: PseudoGraph, used: List[bool], chosen: List[int]) -> bool:
 def perfect_matching_through(g: PseudoGraph, e: int) -> PerfectMatching:
     """A perfect matching containing e; exists for every edge of a bridgeless
     cubic graph."""
-    _check_matchable(g)
+    require_bridgeless_cubic(g, "perfect_matching_through")
     u, v = g.endpoints(e)
     used = [False] * g.num_vertices
     used[u] = used[v] = True

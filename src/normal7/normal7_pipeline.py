@@ -53,6 +53,7 @@ from normal7.cuts_reductions import (
     find_bridges,
     find_nontrivial_3_edge_cuts,
     ladder_containing,
+    require_bridgeless_cubic,
     three_cut_reduction,
     two_cut_reduction,
 )
@@ -187,14 +188,7 @@ def _record(
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
-
-
-def _check_bridgeless_cubic(g: PseudoGraph, who: str) -> None:
-    if not g.is_cubic():
-        raise ValueError(f"{who} requires a cubic graph")
-    if find_bridges(g):
-        raise ValueError(f"{who} requires a bridgeless graph")
+# incidence helpers
 
 
 def _others_at(g: PseudoGraph, v: int, exclude: int) -> List[int]:
@@ -304,7 +298,7 @@ def flow_edge_poor(g: PseudoGraph, e: int) -> GroupFlow:
     five values around e span only three distinct elements.  Parallel edges
     are allowed; bridges are not.
     """
-    _check_bridgeless_cubic(g, "flow_edge_poor")
+    require_bridgeless_cubic(g, "flow_edge_poor")
     g.endpoints(e)
 
     def solve(sub: PseudoGraph, emap: Dict[int, int]) -> Dict[int, int]:
@@ -406,7 +400,7 @@ def flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     shared = set(g.endpoints(e)) & set(g.endpoints(f))
     if not shared:
         raise ValueError("the two edges must share a vertex")
-    _check_bridgeless_cubic(g, "flow_two_adjacent_rich")
+    require_bridgeless_cubic(g, "flow_two_adjacent_rich")
     if not g.is_connected():
         raise ValueError("flow_two_adjacent_rich requires a connected graph")
     if g.num_vertices < 4:
@@ -513,7 +507,7 @@ class PendantBlockInput:
 
     @classmethod
     def from_edge(cls, g: PseudoGraph, e: int) -> "PendantBlockInput":
-        _check_bridgeless_cubic(g, "PendantBlockInput")
+        require_bridgeless_cubic(g, "PendantBlockInput")
         if not g.is_connected():
             raise ValueError("PendantBlockInput requires a connected graph")
         u, w = g.endpoints(e)

@@ -108,19 +108,19 @@ def brute_force_conserving(g: PseudoGraph, k: int = 3):
 class TestCycleSpaceSweep:
     def test_matches_brute_force_on_theta(self):
         g = theta_graph()
-        swept = {tuple(v) for v in sweep_cycle_space(g, 3)}
+        swept = {tuple(v) for v in sweep_cycle_space(g)}
         assert swept == brute_force_conserving(g)
 
     def test_matches_brute_force_with_loop(self):
         g = PseudoGraph.from_edges(2, [(0, 0), (0, 1), (0, 1), (1, 1)])
-        swept = {tuple(v) for v in sweep_cycle_space(g, 3)}
+        swept = {tuple(v) for v in sweep_cycle_space(g)}
         assert swept == brute_force_conserving(g)
 
     def test_k4_count_and_conservation(self):
         g = k4_graph()
         seen = set()
         nz = 0
-        for values in sweep_cycle_space(g, 3):
+        for values in sweep_cycle_space(g):
             seen.add(tuple(values))
             if 0 not in values:
                 nz += 1
@@ -130,7 +130,7 @@ class TestCycleSpaceSweep:
         assert nz == 210
 
     def test_starts_at_zero(self):
-        first = next(iter(sweep_cycle_space(petersen(), 3)))
+        first = next(iter(sweep_cycle_space(petersen())))
         assert set(first) == {0}
 
 

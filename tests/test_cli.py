@@ -297,6 +297,28 @@ class TestCensus:
         assert "error" in rec and rec["graph6"] == "garbage!!"
 
 
+class TestNonAsciiInput:
+    """The bytes C, 0xc3, 0xa9 ("C" then an e-acute in UTF-8) are not graph6."""
+
+    RAW = b"C\xc3\xa9\n"
+
+    @pytest.mark.parametrize("command", ["color", "exact", "census"])
+    @pytest.mark.parametrize("source", ["file", "utf8_stdin", "ascii_stdin"])
+    def test_is_an_input_error(self, capsys, monkeypatch, tmp_path, command, source):
+        if source == "file":
+            path = tmp_path / "g.g6"
+            path.write_bytes(self.RAW)
+            argv = [command, str(path)]
+        else:
+            encoding = "utf-8" if source == "utf8_stdin" else "ascii"
+            stdin = io.TextIOWrapper(io.BytesIO(self.RAW), encoding=encoding)
+            monkeypatch.setattr("sys.stdin", stdin)
+            argv = [command, "-"]
+        rc, _, err = run(capsys, argv)
+        assert rc == EXIT_INPUT
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestCertify:
     def test_single_claim(self, capsys):
         rc, out, _ = run(capsys, ["certify", "fig6-flow-poor"])

@@ -24,25 +24,21 @@ from normal7.flows_trees import (
     GF2Automorphism,
     GroupFlow,
     PackingError,
-    TreePair,
     all_automorphisms,
     apply_automorphism,
     automorphism_extending,
     find_automorphism,
     flow_edge_status,
-    flow_from_even_subgraphs,
     flow_three_edges_distinct,
     flow_two_edges_equal,
     flow_value_set,
-    nz_flow_from_tree_pair,
     nz_z23_flow,
-    pack_two_spanning_trees,
-    parity_subgraph_in_tree,
     verify_flow,
 )
 from normal7.graph_core import PseudoGraph, VerificationError
 from normal7.matching import contract_two_factor, lift_flow, perfect_matching_through
 from tests.corpora import (
+    corpus_graphs,
     cubic_census_upto,
     doubled_cycle,
     fig6_graph,
@@ -139,6 +135,12 @@ class TestVerifyFlow:
             verify_flow(GroupFlow(g, 2, {0: 4, 1: 4}))
 
 
+def pack_two(g: PseudoGraph):
+    """The edge sets of the two rooted forests the packer returns."""
+    t1, t2 = flows_trees._pack_spanning_trees(g, 2)
+    return t1.edges(), t2.edges()
+
+
 class TestPacking:
     def is_spanning_tree(self, g, edges):
         t = nx.MultiGraph()
@@ -148,19 +150,19 @@ class TestPacking:
         return t.number_of_edges() == g.num_vertices - 1 and nx.is_connected(t)
 
     def test_k4(self):
-        tp = pack_two_spanning_trees(k4())
-        assert not (tp.t1 & tp.t2)
-        assert self.is_spanning_tree(k4(), tp.t1)
-        assert self.is_spanning_tree(k4(), tp.t2)
+        t1, t2 = pack_two(k4())
+        assert not (t1 & t2)
+        assert self.is_spanning_tree(k4(), t1)
+        assert self.is_spanning_tree(k4(), t2)
 
     def test_four_parallel_edges(self):
-        tp = pack_two_spanning_trees(four_parallel())
-        assert len(tp.t1) == 1 and len(tp.t2) == 1 and not (tp.t1 & tp.t2)
+        t1, t2 = pack_two(four_parallel())
+        assert len(t1) == 1 and len(t2) == 1 and not (t1 & t2)
 
     def test_single_cycle_fails(self):
         g = PseudoGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(PackingError):
-            pack_two_spanning_trees(g)
+            pack_two(g)
 
     def test_4ec_minus_two_edges_always_packs(self):
         g0 = doubled_cycle(4)
@@ -168,17 +170,18 @@ class TestPacking:
             g = g0.copy()
             g.remove_edge(e)
             g.remove_edge(f)
-            tp = pack_two_spanning_trees(g)
-            assert self.is_spanning_tree(g, tp.t1)
-            assert self.is_spanning_tree(g, tp.t2)
+            t1, t2 = pack_two(g)
+            assert self.is_spanning_tree(g, t1)
+            assert self.is_spanning_tree(g, t2)
 
     def test_petersen_cannot_pack(self):
         # 15 edges cannot hold two disjoint spanning trees on 10 vertices.
         with pytest.raises(PackingError):
-            pack_two_spanning_trees(petersen())
+            pack_two(petersen())
 
     def test_deterministic(self):
-        assert pack_two_spanning_trees(k5()) == pack_two_spanning_trees(k5())
+        first, again = (flows_trees._pack_spanning_trees(k5(), 2) for _ in range(2))
+        assert [t.par for t in first] == [t.par for t in again]
 
     def brute_force_packs(self, g):
         """Whether any two disjoint spanning trees exist, by trying every
@@ -197,12 +200,12 @@ class TestPacking:
         # search is needed when it comes up short
         g = random_pseudograph(random.Random(seed), n, m)
         if self.brute_force_packs(g):
-            tp = pack_two_spanning_trees(g)
-            assert not (tp.t1 & tp.t2)
-            assert self.is_spanning_tree(g, tp.t1) and self.is_spanning_tree(g, tp.t2)
+            t1, t2 = pack_two(g)
+            assert not (t1 & t2)
+            assert self.is_spanning_tree(g, t1) and self.is_spanning_tree(g, t2)
         else:
             with pytest.raises(PackingError):
-                pack_two_spanning_trees(g)
+                pack_two(g)
 
 
 # -- reference packer: forest paths by breadth-first search -------------------
@@ -282,6 +285,10 @@ def doubled(g: PseudoGraph) -> PseudoGraph:
 SMALL_CUBICS = cubic_census_upto(10)
 
 
+def rooted_pack(g, k):
+    return [t.edges() for t in flows_trees._pack_spanning_trees(g, k)]
+
+
 def packing_or_error(pack, g, k):
     try:
         return [sorted(f) for f in pack(g, k)]
@@ -307,7 +314,7 @@ class TestRootedForests:
         for e in rng.sample(g.edge_ids(), min(holes, g.num_edges)):
             g.remove_edge(e)
         want = packing_or_error(reference_pack, g, k)
-        assert packing_or_error(flows_trees._pack_spanning_trees, g, k) == want
+        assert packing_or_error(rooted_pack, g, k) == want
 
     @given(st.sampled_from(SMALL_CUBICS), st.sampled_from([2, 3]), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
@@ -316,7 +323,7 @@ class TestRootedForests:
         for e in h.edge_ids()[:holes]:
             h.remove_edge(e)
         want = packing_or_error(reference_pack, h, k)
-        assert packing_or_error(flows_trees._pack_spanning_trees, h, k) == want
+        assert packing_or_error(rooted_pack, h, k) == want
 
     @given(st.integers(1, 9), st.integers(0, 40), st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
@@ -358,72 +365,147 @@ class TestRootedForests:
         assert sorted(tree.path(0, 2)) == [0, 1]
 
 
+def parity_subgraph_in_tree(g, tree):
+    """The parity subgraph of g inside a spanning tree, by stripping leaves:
+    the reference the children-first walk of the rooted forest must match.
+
+    Returns A with deg_A(v) = deg_g(v) (mod 2) for all v; every step is
+    forced, so A is unique within the tree."""
+    need = [g.degree(v) % 2 for v in g.vertices()]
+    adj = {v: [] for v in g.vertices()}
+    for eid in tree:
+        u, v = g.endpoints(eid)
+        adj[u].append(eid)
+        adj[v].append(eid)
+    removed = set()
+    result = set()
+    leaves = deque(v for v in g.vertices() if len(adj[v]) == 1)
+    dead = set()
+    while leaves:
+        v = leaves.popleft()
+        live = [e for e in adj[v] if e not in removed]
+        if not live or v in dead:
+            continue
+        (t,) = live
+        w = g.other_endpoint(t, v)
+        if need[v] % 2 == 1:
+            result.add(t)
+            need[w] += 1
+        removed.add(t)
+        dead.add(v)
+        if len([e for e in adj[w] if e not in removed]) == 1:
+            leaves.append(w)
+    for v in g.vertices():
+        assert sum(1 for e in g.incident(v) if e in result) % 2 == g.degree(v) % 2
+    return result
+
+
+def linked_forest(g, edges):
+    """A rooted forest holding the given edges, linked in the order given."""
+    tree = flows_trees._RootedForest(flows_trees._edge_ends(g), g.num_vertices)
+    for e in edges:
+        tree.link(e)
+    return tree
+
+
+def odd_degrees(g):
+    return [g.degree(v) % 2 for v in g.vertices()]
+
+
 class TestParitySubgraph:
     def test_cubic_tree_gives_odd_degrees(self):
         g = k4()
-        tp = pack_two_spanning_trees(g)
-        for tree in (tp.t1, tp.t2):
-            a = parity_subgraph_in_tree(g, tree)
+        for tree in flows_trees._pack_spanning_trees(g, 2):
+            a = tree.parity_subgraph(odd_degrees(g))
+            assert a <= tree.edges()
             for v in g.vertices():
                 assert sum(1 for e in g.incident(v) if e in a) % 2 == 1
 
     def test_even_graph_gives_empty(self):
         g = PseudoGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert parity_subgraph_in_tree(g, {0, 1, 2}) == set()
+        assert linked_forest(g, [0, 1, 2]).parity_subgraph(odd_degrees(g)) == set()
 
     def test_single_edge(self):
         g = PseudoGraph.from_edges(2, [(0, 1)])
-        assert parity_subgraph_in_tree(g, {0}) == {0}
+        assert linked_forest(g, [0]).parity_subgraph(odd_degrees(g)) == {0}
 
-    def test_rejects_non_tree(self):
-        with pytest.raises(ValueError):
-            parity_subgraph_in_tree(k4(), {0, 1, 3})  # a triangle
+    @given(st.integers(1, 9), st.integers(0, 24), st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_leaf_stripping_on_random_multigraphs(self, n, m, seed):
+        # a spanning tree linked in random order, so rooted at random
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, n, m)
+        order = g.edge_ids()
+        rng.shuffle(order)
+        tree = linked_forest(g, [])
+        for e in order:
+            if not g.is_loop(e) and tree.path(*g.endpoints(e)) is None:
+                tree.link(e)
+        if len(tree.edges()) == n - 1:
+            want = parity_subgraph_in_tree(g, tree.edges())
+            assert tree.parity_subgraph(odd_degrees(g)) == want
+
+    def test_same_as_leaf_stripping_on_the_doubled_census_packing(self):
+        # copies 2i and 2i+1 stand for edge i, as in nz_z23_flow's packing
+        for _, g in corpus_graphs():
+            try:
+                forests = flows_trees._pack_spanning_trees(doubled(g), 3)
+            except PackingError:  # g has a 2-edge-cut; its double packs two
+                forests = flows_trees._pack_spanning_trees(doubled(g), 2)
+            for tree in forests:
+                got = {c // 2 for c in tree.parity_subgraph(odd_degrees(g))}
+                assert got == parity_subgraph_in_tree(g, {c // 2 for c in tree.edges()})
+
+
+def complement_flow(g, parities):
+    """The Z_2^2 flow off two parity subgraphs, checked as the library does."""
+    return flows_trees.verified_nz_flow(
+        GroupFlow(g, 2, flows_trees._complement_values(g, parities))
+    )
 
 
 class TestEvenSubgraphFlow:
+    """x and y are supported on the complements of the two parity sets."""
+
     def test_cycle_both(self):
         g = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        flow = flow_from_even_subgraphs(g, {0, 1, 2}, {0, 1, 2})
+        flow = complement_flow(g, [set(), set()])
         assert all(v == 3 for v in flow.values.values())
-        flow = flow_from_even_subgraphs(g, {0, 1, 2}, set())
+        flow = complement_flow(g, [set(), {0, 1, 2}])
         assert all(v == 1 for v in flow.values.values())
 
     def test_prism_cover(self):
         # Two hand-picked hamiltonian-ish even subgraphs covering all 9 edges:
         # 0-1-2-5-4-3-0 and 0-2-5-3-4-1-0.
         g = prism()
+        ids = set(g.edge_ids())
         p1 = {0, 1, 3, 4, 6, 8}
         p2 = {0, 2, 3, 5, 7, 8}
-        flow = flow_from_even_subgraphs(g, p1, p2)
+        flow = complement_flow(g, [ids - p1, ids - p2])
         assert flow.values[0] == 3 and flow.values[1] == 1 and flow.values[2] == 2
 
     def test_rejects_odd_subgraph_and_noncover(self):
         g = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        with pytest.raises(ValueError):
-            flow_from_even_subgraphs(g, {0}, {0, 1, 2})
-        with pytest.raises(ValueError):
-            flow_from_even_subgraphs(g, set(), {0, 1, 2} - {0})
+        with pytest.raises(VerificationError):
+            complement_flow(g, [{1, 2}, set()])  # x on the odd subgraph {0}
+        with pytest.raises(VerificationError):
+            complement_flow(g, [{0, 1, 2}, {0}])  # edge 0 in neither support
 
 
 class TestTreePairFlow:
     def test_four_parallel(self):
-        g = four_parallel()
-        flow = nz_flow_from_tree_pair(g, TreePair(frozenset({0}), frozenset({1})))
+        # g-2-3 packs the trees {0} and {1}; edges outside both get x+y
+        flow = flow_two_edges_equal(four_parallel(), 2, 3)
         assert flow.values[2] == 3 and flow.values[3] == 3
         check = verify_flow(flow)
         assert check.conserving and check.nowhere_zero
 
     def test_k4(self):
         g = k4()
-        flow = nz_flow_from_tree_pair(g, pack_two_spanning_trees(g))
+        forests = flows_trees._pack_spanning_trees(g, 2)
+        flow = complement_flow(g, [t.parity_subgraph(odd_degrees(g)) for t in forests])
         check = verify_flow(flow)
         assert check.conserving and check.nowhere_zero
-
-    def test_rejects_overlapping_trees(self):
-        with pytest.raises(ValueError):
-            nz_flow_from_tree_pair(
-                four_parallel(), TreePair(frozenset({0}), frozenset({0}))
-            )
 
 
 class TestFlowTwoEdgesEqual:
@@ -563,7 +645,7 @@ class TestOutputChecks:
         "build",
         [
             lambda: nz_z23_flow(k4()),
-            lambda: flow_from_even_subgraphs(k4(), {0, 2, 3, 5}, {1, 2, 3, 4}),
+            lambda: flow_two_edges_equal(k5(), 0, 1),
             lambda: flow_three_edges_distinct(with_loop_at(doubled_cycle(3), 0), 6, 0, 1),
         ],
         ids=["nz_z23_flow", "even_subgraphs", "free_loops"],
@@ -597,7 +679,7 @@ class TestOutputChecks:
         # the path query reports every two vertices as disconnected
         monkeypatch.setattr(flows_trees._RootedForest, "path", lambda self, s, t: None)
         with pytest.raises(VerificationError, match="close a cycle"):
-            pack_two_spanning_trees(k4())
+            flows_trees._pack_spanning_trees(k4(), 2)
 
     def test_overlapping_forests_raise(self, monkeypatch):
         # each forest answers with the path of the next one where it has one
@@ -619,14 +701,16 @@ class TestOutputChecks:
             flows_trees._pack_spanning_trees(k5(), 3)
 
     def test_a_tree_holding_both_copies_of_an_edge_raises(self, monkeypatch):
-        # copies 2i and 2i+1 of edge i: the first tree takes both of edge 0
-        fake = [{0, 1, 2}, {3, 4, 6}, {5, 7, 8}]
-        monkeypatch.setattr(flows_trees, "_pack_spanning_trees", lambda g, k: fake)
-        with pytest.raises(VerificationError, match="not a spanning tree of g"):
+        # copies 2i and 2i+1 of edge i: each forest reads as both copies of
+        # edge 0 and one of edge 1
+        monkeypatch.setattr(flows_trees._RootedForest, "edges", lambda self: {0, 1, 2})
+        with pytest.raises(VerificationError, match="a packed forest is not a spanning tree"):
             nz_z23_flow(k4())
 
     def test_a_zero_edge_value_raises(self, monkeypatch):
-        monkeypatch.setattr(flows_trees, "parity_subgraph_in_tree", lambda g, t: set(g.edge_ids()))
+        monkeypatch.setattr(
+            flows_trees._RootedForest, "parity_subgraph", lambda self, odd: set(range(len(self.ends)))
+        )
         with pytest.raises(VerificationError, match="leave an edge at zero"):
             nz_z23_flow(k4())
 

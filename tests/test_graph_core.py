@@ -213,6 +213,11 @@ class TestGraph6:
             parse_graph6(b"C\x1f\x7f")
         assert ei.value.offset == 1
 
+    def test_non_ascii_text_offset(self):
+        with pytest.raises(Graph6Error, match="non-ASCII") as ei:
+            parse_graph6(" C~\u00e9 ")
+        assert ei.value.offset == 2
+
     def test_length_mismatch(self):
         with pytest.raises(Graph6Error):
             parse_graph6("C~~")

@@ -13,17 +13,21 @@ from pathlib import Path
 import pytest
 
 from normal7 import certify, coloring_solver, flows_trees, matching
-from normal7.flows_trees import GroupFlow
 from normal7.graph_core import VerificationError
 from tests.corpora import k4, k5, petersen
 
 
-def _distinct_values(g, _trees):
-    return GroupFlow(g, 2, {d: 1 + d % 3 for d in g.edge_ids()})
+_real_pack = flows_trees._pack_spanning_trees
 
 
-def _constant_values(g, _p1, _p2):
-    return GroupFlow(g, 2, {d: 3 for d in g.edge_ids()})
+def _triangle_at_y(g, _parities):
+    # y on the triangle (0,1), (0,3), (1,3) of k5 and x+y elsewhere: a
+    # nowhere-zero flow with edges 0 and 1 apart
+    return {d: 2 if d in (0, 2, 5) else 3 for d in g.edge_ids()}
+
+
+def _constant_values(g, _parities):
+    return {d: 3 for d in g.edge_ids()}
 
 
 # (id, module, name replaced, fake, call, message of the check that catches it)
@@ -39,26 +43,26 @@ FAULTS = [
     (
         "flow_two_edges_equal",
         flows_trees,
-        "nz_flow_from_tree_pair",
-        _distinct_values,
+        "_complement_values",
+        _triangle_at_y,
         lambda: flows_trees.flow_two_edges_equal(k5(), 0, 1),
         "got different values",
     ),
     (
         "flow_three_edges_distinct",
         flows_trees,
-        "flow_from_even_subgraphs",
+        "_complement_values",
         _constant_values,
         lambda: flows_trees.flow_three_edges_distinct(k5(), 0, 1, 2),
         "shares its value",
     ),
     (
-        "nz_z23_flow",  # copies 2i and 2i+1 of edge i: the first tree takes both of edge 0
+        "nz_z23_flow",  # one tree three times: its parity edges get no value
         flows_trees,
         "_pack_spanning_trees",
-        lambda g, k: [{0, 1, 2}, {3, 4, 6}, {5, 7, 8}],
+        lambda g, k: _real_pack(g, 1) * k,
         lambda: flows_trees.nz_z23_flow(k4()),
-        "not a spanning tree of g",
+        "leave an edge at zero",
     ),
     (
         "perfect_matching_through",

@@ -1,5 +1,7 @@
 """Every name a library or test module imports is used in that module, and
-every private module-level name of the library is read in the library.
+every module-level name of the library is read in the library: a private
+name anywhere in it, a public function or class outside its own definition
+unless the package exports it.
 
 The repository has no linter, so these AST scans stand in for one: deleting
 a function must not leave its imports behind, in the library or in the
@@ -12,6 +14,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import normal7
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "normal7"
@@ -115,3 +119,48 @@ def test_scan_flags_a_dead_private_helper():
     )
     read = used_names(tree)
     assert [n for n, _ in private_definitions(tree) if n not in read] == ["_Pair", "_dead", "_Old"]
+
+
+def read_names(tree: ast.Module):
+    """Names read in tree, as plain names or as attributes."""
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return used_names(tree) | attrs
+
+
+def dead_public_definitions(trees, exported):
+    """(module, name, line) for every module-level public function or class
+    that is not exported and that nothing reads outside its own definition."""
+    for module, tree in trees.items():
+        elsewhere = set().union(*(read_names(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in exported or node.name in elsewhere:
+                continue
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            if node.name not in read_names(rest):
+                yield module, node.name, node.lineno
+
+
+def test_every_public_helper_is_exported_or_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    dead = [
+        f"{module}: {name} (line {line})"
+        for module, name, line in dead_public_definitions(trees, set(normal7.__all__))
+    ]
+    assert not dead, f"public names neither exported nor read in src/normal7: {dead}"
+
+
+def test_scan_flags_a_dead_public_helper():
+    trees = {
+        "a.py": ast.parse(
+            "def exported(): return helper()\n"
+            "def helper(): return 1\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "class Old: pass\n"
+            "def used_by_b(): pass\n"
+        ),
+        "b.py": ast.parse("import a\nx = a.used_by_b()\n"),
+    }
+    dead = [name for _, name, _ in dead_public_definitions(trees, {"exported"})]
+    assert dead == ["recursive", "Old"]
