@@ -47,10 +47,19 @@ class InputError(Exception):
     """The provided graph text cannot be used."""
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, per_line: bool = False) -> str:
+    """The whole input as text; a file with a non-ASCII byte is refused whole.
+
+    With per_line (a census) a file is decoded as UTF-8, like stdin text, an
+    undecodable byte replaced by U+FFFD, so a non-ASCII line fails alone:
+    its record names the offset that parse_graph6 rejects.
+    """
     try:
         if path == "-":
             return sys.stdin.read()
+        if per_line:
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                return fh.read()
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -237,7 +246,7 @@ def _census_records(
 
 def cmd_census(args: argparse.Namespace) -> int:
     try:
-        text = _read_text(args.input)
+        text = _read_text(args.input, per_line=True)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -340,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compute the exact value for graphs with at most this many vertices",
     )
     census.add_argument(
-        "--budget", type=int, default=None, help="search node budget for exact runs"
+        "--budget", type=int, default=None,
+        help="search node budget of each exact run, per palette size",
     )
     census.set_defaults(func=cmd_census)
 

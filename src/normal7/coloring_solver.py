@@ -10,6 +10,7 @@ always poor.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -173,10 +174,22 @@ def _canonical_colorings(
     colored 1,2,3 in ascending id, and any further color j > 3 first appears
     only after all of 4..j-1 have.  Each palette-permutation class of normal
     colorings has exactly one canonical member.
+
+    Every color tried on an edge is one search node, counted before it is
+    checked and refused once the budget is spent.  A color is refused when an
+    endpoint already carries it, or when some edge f of the edge's
+    neighbourhood can no longer see 3 or 5 colors over its own neighbourhood
+    nbhd[f] (the edge and the 2 + 2 edges at its ends, at most 5 in a loopless
+    subcubic graph): all of nbhd[f] is colored and the span is not 3 or 5,
+    or the span plus the uncolored edges left falls short of 3.
     """
     if k < 0:
         raise ValueError("palette size must be nonnegative")
     require_loopless_subcubic(g)
+    # the first max-degree vertex, when that degree is 3
+    anchor = next((v for v in g.vertices() if g.degree(v) == 3), None)
+    if anchor is not None and k < 3:
+        return
 
     order = _dfs_edge_order(g)
     if not order:
@@ -185,87 +198,130 @@ def _canonical_colorings(
 
     size = max(order) + 1
     color: List[int] = [0] * size  # 0 = uncolored
-    adj: List[Tuple[int, ...]] = [()] * size
+    ends: List[Tuple[int, int]] = [(0, 0)] * size
     nbhd: List[Tuple[int, ...]] = [()] * size
     for eid, u, v in g.edges():
-        others = sorted((set(g.incident(u)) | set(g.incident(v))) - {eid})
-        adj[eid] = tuple(others)
-        nbhd[eid] = tuple([eid] + others)
-    remaining = [0] * size
-    for eid in order:
-        remaining[eid] = len(nbhd[eid])
+        ends[eid] = (u, v)
+        nbhd[eid] = tuple(sorted(set(g.incident(u)) | set(g.incident(v))))
 
-    def assign_ok(e: int, col: int) -> bool:
-        for f in adj[e]:
-            if color[f] == col:
-                return False
-        color[e] = col
-        for f in nbhd[e]:
-            remaining[f] -= 1
-        for f in nbhd[e]:
-            union = {color[x] for x in nbhd[f] if color[x]}
-            n = len(union)
-            left = remaining[f]
-            if (left == 0 and n not in (3, 5)) or n > 5 or n + left < 3:
-                for x in nbhd[e]:
-                    remaining[x] += 1
-                color[e] = 0
-                return False
-        return True
+    anchor_edges = sorted(set(g.incident(anchor))) if anchor is not None else []
+    for col, eid in enumerate(anchor_edges, start=1):
+        color[eid] = col
+    max_used = len(anchor_edges)
 
-    def undo(e: int) -> None:
-        for f in nbhd[e]:
-            remaining[f] += 1
-        color[e] = 0
-
-    max_used = 0
-    degs = [g.degree(v) for v in g.vertices()]
-    anchor = next((v for v in g.vertices() if degs[v] == max(degs)), None)
-    if anchor is not None and degs[anchor] == 3:
-        if k < 3:
-            return
-        for col, eid in enumerate(sorted(set(g.incident(anchor))), start=1):
-            if not assign_ok(eid, col):
+    # One row of the flat table per edge f, at f * stride: slot 0 counts the
+    # uncolored edges of nbhd[f], slot c the edges colored c, and the last
+    # slot the distinct colors among them.  A search never uses more colors
+    # than there are edges.
+    top_color = min(k, len(order))
+    stride = top_color + 2
+    span = top_color + 1
+    table = [0] * (size * stride)
+    for f in order:
+        base = f * stride
+        for x in nbhd[f]:
+            table[base + color[x]] += 1
+        table[base + span] = sum(1 for c in range(1, top_color + 1) if table[base + c])
+    rows = [tuple(f * stride for f in nbhd[e]) for e in range(size)]
+    vmask = [0] * g.num_vertices  # bit c set when a colored edge at v has color c
+    for e in anchor_edges:
+        u, v = ends[e]
+        vmask[u] |= 1 << color[e]
+        vmask[v] |= 1 << color[e]
+        # the anchor's edges were placed without a check; a state that fails
+        # now failed when it was reached, since a refuted neighbourhood stays
+        # refuted as more of it is colored
+        for base in rows[e]:
+            left = table[base]
+            n = table[base + span]
+            if (n != 3 and n != 5) if left == 0 else n + left < 3:
                 return
-        max_used = 3
 
     pending = [e for e in order if color[e] == 0]
     if not pending:
         yield {e: color[e] for e in order}
         return
 
+    last = len(pending)
+    saved_max = [0] * last  # max_used before pending[d] was colored
+    cap = budget if budget is not None else sys.maxsize
+    nodes = 0
     depth = 0
-    iters: List[Iterator[int]] = [iter(())] * len(pending)
-    saved_max: List[int] = [0] * len(pending)
-    iters[0] = iter(range(1, min(k, max_used + 1) + 1))
-    while depth >= 0:
-        if depth == len(pending):
-            yield {e: color[e] for e in order}
-            depth -= 1
-            max_used = saved_max[depth]
-            undo(pending[depth])
-            continue
+    col = 0  # the last color tried at this depth
+    while True:
         e = pending[depth]
-        moved = False
-        for col in iters[depth]:
-            if budget is not None and stats.nodes >= budget:
+        u, v = ends[e]
+        used = vmask[u] | vmask[v]
+        row = rows[e]
+        top = max_used + 1 if max_used < k else k
+        placed = False
+        while col < top:
+            if nodes >= cap:
+                stats.nodes = nodes
                 stats.timed_out = True
                 return
-            stats.nodes += 1
-            if assign_ok(e, col):
-                saved_max[depth] = max_used
-                max_used = max(max_used, col)
-                moved = True
+            nodes += 1
+            col += 1
+            if used >> col & 1:
+                continue
+            # a neighbour's state changes only through its own row, so each
+            # is checked right after its update and only the rows already
+            # updated are rolled back
+            for base in row:
+                left = table[base] - 1
+                table[base] = left
+                i = base + col
+                c = table[i]
+                table[i] = c + 1
+                n = table[base + span]
+                if not c:
+                    n += 1
+                    table[base + span] = n
+                if (n != 3 and n != 5) if left == 0 else n + left < 3:
+                    break
+            else:
+                placed = True
                 break
-        if moved:
+            for undone in row:
+                table[undone] += 1
+                i = undone + col
+                c = table[i] - 1
+                table[i] = c
+                if not c:
+                    table[undone + span] -= 1
+                if undone == base:
+                    break
+        if placed:
+            color[e] = col
+            vmask[u] |= 1 << col
+            vmask[v] |= 1 << col
+            saved_max[depth] = max_used
+            if col > max_used:
+                max_used = col
             depth += 1
-            if depth < len(pending):
-                iters[depth] = iter(range(1, min(k, max_used + 1) + 1))
-        else:
-            depth -= 1
-            if depth >= 0:
-                max_used = saved_max[depth]
-                undo(pending[depth])
+            col = 0
+            if depth < last:
+                continue
+            stats.nodes = nodes
+            yield {e: color[e] for e in order}
+        depth -= 1
+        if depth < 0:
+            stats.nodes = nodes
+            return
+        e = pending[depth]
+        col = color[e]
+        u, v = ends[e]
+        color[e] = 0
+        vmask[u] ^= 1 << col
+        vmask[v] ^= 1 << col
+        for base in rows[e]:
+            table[base] += 1
+            i = base + col
+            c = table[i] - 1
+            table[i] = c
+            if not c:
+                table[base + span] -= 1
+        max_used = saved_max[depth]
 
 
 def find_normal_coloring(

@@ -318,6 +318,19 @@ class TestNonAsciiInput:
         assert rc == EXIT_INPUT
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw,offset", [(RAW, 1), (b"C\xff\n", 1)])
+    def test_census_file_rejects_only_the_bad_line(self, capsys, tmp_path, raw, offset):
+        path = tmp_path / "census.g6"
+        path.write_bytes(K4_G6.encode() + b"\n" + raw)
+        rc, out, err = run(capsys, ["census", str(path)])
+        assert rc == EXIT_INPUT
+        good, bad, summary = [json.loads(ln) for ln in out.splitlines()]
+        assert good["graph6"] == K4_G6 and good["verified"]
+        assert bad["error"].startswith("Graph6Error:")
+        assert f"offset {offset}" in bad["error"]
+        assert summary["graphs"] == 2 and summary["failures"] == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestCertify:
     def test_single_claim(self, capsys):
