@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from normal7.certify import CLAIMS, run_claim
 from normal7.coloring_solver import exact_chi_n, is_normal, require_loopless_subcubic
@@ -311,6 +311,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return rc
 
 
+def _int_at_least(least: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than least, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normal7",
@@ -333,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         "exact", help="exact minimum palette size by exhaustive search"
     )
     exact.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    exact.add_argument("--max-k", type=int, default=7, help="largest palette to try")
+    exact.add_argument("--max-k", type=_int_at_least(0), default=7, help="largest palette to try")
     exact.add_argument(
-        "--budget", type=int, default=None, help="search node budget per palette size"
+        "--budget", type=_int_at_least(0), default=None,
+        help="search node budget per palette size",
     )
     exact.set_defaults(func=cmd_exact)
 
@@ -343,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
         "census", help="run the pipeline over a file of graph6 lines"
     )
     census.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    census.add_argument("--jobs", type=int, default=1, help="worker processes")
+    census.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     census.add_argument(
         "--exact-up-to", type=int, default=0,
         help="also compute the exact value for graphs with at most this many vertices",
     )
     census.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_int_at_least(0), default=None,
         help="search node budget of each exact run, per palette size",
     )
     census.set_defaults(func=cmd_census)

@@ -138,13 +138,38 @@ def _edge_ends(g: PseudoGraph) -> List[Optional[Tuple[int, int]]]:
 
 class _RootedForest:
     """A forest held as parent pointers: par[v] = (parent, edge id), or None
-    at a root.  ends maps edge ids to endpoints, as built by _edge_ends."""
+    at a root.  ends maps edge ids to endpoints, as built by _edge_ends.
 
-    __slots__ = ("ends", "par")
+    A merge-only union-find over the trees rides along (up[v] leads towards
+    the representative of v's tree), joined in link and never split.  The
+    packer only exchanges an edge for one on the forest path between its
+    ends, which leaves the vertex partition of a forest as it was, so a
+    tree partition that only ever merges is all the packer needs."""
+
+    __slots__ = ("ends", "par", "up")
 
     def __init__(self, ends: List[Optional[Tuple[int, int]]], n: int):
         self.ends = ends
         self.par: List[Optional[Tuple[int, int]]] = [None] * n
+        self.up = list(range(n))
+
+    def _find(self, v: int) -> int:
+        up = self.up
+        root = v
+        while up[root] != root:
+            root = up[root]
+        while up[v] != root:
+            up[v], v = root, up[v]
+        return root
+
+    def same_tree(self, s: int, t: int) -> bool:
+        """Whether s and t lie in one tree, read off the union-find alone."""
+        return self._find(s) == self._find(t)
+
+    def holds(self, eid: int) -> bool:
+        """Whether edge eid is in this forest: the parent edge of one of its ends."""
+        a, b = self.ends[eid]  # type: ignore[misc]
+        return self.par[a] == (b, eid) or self.par[b] == (a, eid)
 
     def path(self, s: int, t: int) -> Optional[List[int]]:
         """Edge ids on the forest path from t to s, in that order, or None
@@ -177,8 +202,9 @@ class _RootedForest:
 
     def link(self, eid: int) -> None:
         """Add edge eid: re-root the tree of one endpoint there and hang it
-        under the other.  Raises VerificationError when both endpoints lie
-        in one tree, so the parent pointers never close a cycle."""
+        under the other, and join the two trees in the union-find.  Raises
+        VerificationError when both endpoints lie in one tree by the parent
+        pointers, so they never close a cycle, whatever the union-find says."""
         a, b = self.ends[eid]  # type: ignore[misc]
         par = self.par
         child, step = a, par[a]
@@ -194,17 +220,15 @@ class _RootedForest:
         if root == a:
             raise VerificationError(f"edge {eid} would close a cycle in a packed forest")
         par[a] = (b, eid)
+        self.up[self._find(a)] = self._find(b)
 
     def cut(self, eid: int) -> None:
         """Remove tree edge eid: its lower endpoint becomes a root.  Raises
         VerificationError when eid is not an edge of this forest."""
-        a, b = self.ends[eid]  # type: ignore[misc]
-        if self.par[a] == (b, eid):
-            self.par[a] = None
-        elif self.par[b] == (a, eid):
-            self.par[b] = None
-        else:
+        if not self.holds(eid):
             raise VerificationError(f"edge {eid} is not in the packed forest it leaves")
+        a, b = self.ends[eid]  # type: ignore[misc]
+        self.par[a if self.par[a] == (b, eid) else b] = None
 
     def edges(self) -> Set[int]:
         """Ids of the forest's edges, one parent edge per non-root vertex."""
@@ -239,6 +263,16 @@ class _RootedForest:
         return result
 
 
+def _open_forest(owner: List[int], trees: List[_RootedForest], x: int) -> int:
+    """The first forest other than x's own in which x's ends lie in
+    different trees, so that x may enter it directly, or -1."""
+    u, v = trees[0].ends[x]  # type: ignore[misc]
+    for i, tree in enumerate(trees):
+        if i != owner[x] and not tree.same_tree(u, v):
+            return i
+    return -1
+
+
 def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
     """One matroid-union augmentation step: try to absorb edge e.
 
@@ -246,9 +280,20 @@ def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
     its endpoints lie in different trees there, or in place of any edge on
     the forest path between them.  owner[y] is y's forest index, or -1.
     Applies the shortest exchange chain to owner and trees and returns
-    True, or returns False when e cannot be absorbed."""
+    True, or returns False when e cannot be absorbed.
+
+    Each edge is tested for a direct entry when it is queued, by the
+    union-find, not when it is popped: the queue is first in, first out,
+    so the first queued edge that can enter some forest directly is the
+    first one a pop-time test would find, and it takes the same (first
+    such) forest and the same chain.  Forest paths are walked only for the
+    edges popped before that edge was queued."""
     ends = trees[0].ends
     parent: Dict[int, Optional[Tuple[int, int]]] = {e: None}
+    into = _open_forest(owner, trees, e)
+    if into >= 0:
+        _exchange(owner, trees, parent, e, into)
+        return True
     queue = deque([e])
     while queue:
         y = queue.popleft()
@@ -258,29 +303,42 @@ def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
                 continue
             path = tree.path(uy, vy)
             if path is None:
-                # Direct insertion, then unwind the exchange chain: each
-                # edge on it moves into the forest whose path it opened.
-                chain = []  # (forest entered, edge, forest left or -1)
-                x, into = y, i
-                while parent[x] is not None:
-                    prev, j = parent[x]  # type: ignore[misc]
-                    chain.append((into, x, j))
-                    x, into = prev, j
-                chain.append((into, x, -1))
-                # every cut first leaves a subforest of the result, so each
-                # link then joins two different trees
-                for _, x, out in chain:
-                    if out >= 0:
-                        trees[out].cut(x)
-                for into, x, _ in chain:
-                    owner[x] = into
-                    trees[into].link(x)
-                return True
+                raise VerificationError(f"the union-find joins two trees of packed forest {i}")
             for x in path:
                 if x not in parent:
                     parent[x] = (y, i)
+                    into = _open_forest(owner, trees, x)
+                    if into >= 0:
+                        _exchange(owner, trees, parent, x, into)
+                        return True
                     queue.append(x)
     return False
+
+
+def _exchange(
+    owner: List[int],
+    trees: List[_RootedForest],
+    parent: Mapping[int, Optional[Tuple[int, int]]],
+    y: int,
+    into: int,
+) -> None:
+    """Insert y into forest into, then unwind the exchange chain: each edge
+    on it moves into the forest whose path it opened."""
+    chain = []  # (forest entered, edge, forest left or -1)
+    x = y
+    while parent[x] is not None:
+        prev, j = parent[x]  # type: ignore[misc]
+        chain.append((into, x, j))
+        x, into = prev, j
+    chain.append((into, x, -1))
+    # every cut first leaves a subforest of the result, so each link then
+    # joins two different trees
+    for _, x, out in chain:
+        if out >= 0:
+            trees[out].cut(x)
+    for into, x, _ in chain:
+        owner[x] = into
+        trees[into].link(x)
 
 
 def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
@@ -304,6 +362,11 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
     that would close a cycle, and cut on an edge the forest does not hold.
     The forests are returned as they are, the one tree representation every
     flow here is built from; each is checked once to be a spanning tree.
+
+    The loop stops once k(n-1) edges are packed: every forest is then a
+    spanning tree, so each later edge has its ends in one tree of every
+    forest and its augmentation could only fail, after searching the whole
+    exchange graph, without changing a forest.  The result is the same.
     """
     n = g.num_vertices
     ends = _edge_ends(g)
@@ -313,9 +376,12 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
     if not g.is_connected():
         raise PackingError("graph is disconnected")
     owner = [-1] * len(ends)
+    packed, full = 0, k * (n - 1)
     for e in g.edge_ids():
-        if not g.is_loop(e):
-            _try_augment(owner, trees, e)
+        if packed == full:
+            break
+        if not g.is_loop(e) and _try_augment(owner, trees, e):
+            packed += 1
     forests = [t.edges() for t in trees]
     if any(len(f) != n - 1 for f in forests):
         raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
@@ -387,7 +453,7 @@ def flow_three_edges_distinct(g: PseudoGraph, e: int, f: int, gg: int) -> GroupF
         h.remove_edge(e)
         h.remove_edge(f)
         t1, t2 = _pack_spanning_trees(h, 2)
-        if gg in t2.edges():
+        if gg != f and t2.holds(gg):  # f is not an edge of h
             t1, t2 = t2, t1
         odd = _odd_degrees(g)
         cycle = set(t2.path(*g.endpoints(e))) | {e}  # type: ignore[arg-type]

@@ -35,6 +35,14 @@ def prism() -> PseudoGraph:
     )
 
 
+def prism_ring(length: int) -> PseudoGraph:
+    """C_length x K2: two cycles joined by a spoke at every position."""
+    ring = [(i, (i + 1) % length) for i in range(length)]
+    edges = ring + [(u + length, v + length) for u, v in ring]
+    edges += [(i, i + length) for i in range(length)]
+    return PseudoGraph.from_edges(2 * length, edges)
+
+
 def theta_graph() -> PseudoGraph:
     """Two vertices joined by three parallel edges."""
     return PseudoGraph.from_edges(2, [(0, 1), (0, 1), (0, 1)])

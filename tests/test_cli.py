@@ -349,3 +349,35 @@ class TestCertify:
         rc, _, err = run(capsys, ["certify"])
         assert rc == EXIT_INPUT
         assert "--all" in err
+
+
+class TestOptionRanges:
+    """Counts out of range are usage errors, exit 2, before any input is read
+    (a negative budget read as inconclusive, a negative --max-k as exceeded,
+    and --jobs below 1 as one job)."""
+
+    @pytest.mark.parametrize(
+        "argv, option, message",
+        [
+            (["census", "--jobs", "0"], "--jobs", "must be at least 1, got 0"),
+            (["census", "--jobs", "-2"], "--jobs", "must be at least 1, got -2"),
+            (["census", "--budget", "-1"], "--budget", "must be at least 0, got -1"),
+            (["exact", "--budget", "-1"], "--budget", "must be at least 0, got -1"),
+            (["exact", "--max-k", "-3"], "--max-k", "must be at least 0, got -3"),
+            (["exact", "--max-k", "three"], "--max-k", "invalid int value: 'three'"),
+        ],
+        ids=["jobs-0", "jobs-negative", "census-budget", "exact-budget", "max-k", "max-k-text"],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, argv, option, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"argument {option}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["census", "--jobs", "1"], ["exact", "--max-k", "0"]], ids=["jobs-1", "max-k-0"]
+    )
+    def test_the_least_value_is_accepted(self, capsys, monkeypatch, argv):
+        rc, out, _ = run(capsys, argv, stdin=K4_G6, monkeypatch=monkeypatch)
+        assert rc == EXIT_OK and out

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normal7 import flows_trees
+from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 from normal7.flows_trees import (
     FlowCheck,
     GF2Automorphism,
@@ -48,10 +49,12 @@ from tests.corpora import (
     long_ladder_graph,
     petersen,
     prism,
+    prism_ring,
     random_pseudograph,
     theta_graph,
     with_loop_at,
 )
+from tests.test_cut_oracle import pairing_cubic
 
 
 def four_parallel() -> PseudoGraph:
@@ -365,6 +368,81 @@ class TestRootedForests:
         assert sorted(tree.path(0, 2)) == [0, 1]
 
 
+def three_edge_connected_cubic(seed, n):
+    """A seeded pairing-model cubic graph with no bridge and no 2-edge-cut."""
+    rng = random.Random(seed)
+    while True:
+        g = pairing_cubic(rng, n)
+        if g.is_connected() and not find_bridges(g) and not find_2_edge_cuts(g):
+            return g
+
+
+class TestWorkCounts:
+    """How much searching the packer does, not how long it takes.
+
+    The loop stops at k(n-1) packed edges, so every augmentation it starts
+    succeeds on a packable graph, and each queued edge is tested for a
+    direct entry at once, so a forest path is walked only for edges popped
+    before the winning edge was queued."""
+
+    def augmentations(self, monkeypatch, g):
+        """(n, k, results of _try_augment) for every packing nz_z23_flow makes."""
+        runs = []
+        augment, pack = flows_trees._try_augment, flows_trees._pack_spanning_trees
+
+        def counted_pack(h, k):
+            runs.append((h.num_vertices, k, []))
+            return pack(h, k)
+
+        def counted_augment(owner, trees, e):
+            runs[-1][2].append(augment(owner, trees, e))
+            return runs[-1][2][-1]
+
+        monkeypatch.setattr(flows_trees, "_pack_spanning_trees", counted_pack)
+        monkeypatch.setattr(flows_trees, "_try_augment", counted_augment)
+        nz_z23_flow(g)
+        monkeypatch.undo()
+        return runs
+
+    def test_no_augmentation_fails_on_the_doubled_census(self, monkeypatch):
+        # without the stop at full rank the packer ran three failing
+        # augmentations per packing, 2,445 over these graphs, each a search
+        # of the whole exchange graph
+        packings = 0
+        for g in cubic_census_upto(14):
+            if find_bridges(g):
+                continue
+            for n, k, results in self.augmentations(monkeypatch, g):
+                assert len(results) == k * (n - 1) and all(results)
+                packings += 1
+        assert packings == 815
+
+    @pytest.mark.parametrize("length", [100, 400])
+    def test_no_augmentation_fails_on_prism_rings(self, monkeypatch, length):
+        ((n, k, results),) = self.augmentations(monkeypatch, prism_ring(length))
+        assert (n, k) == (2 * length, 3)
+        assert len(results) == k * (n - 1) and all(results)
+
+    @pytest.mark.parametrize(
+        # testing edges when popped walked 19,983 and 5,243 paths: one per
+        # edge popped, until an edge popped with a forest open to it
+        "build, walks",
+        [(lambda: prism_ring(400), 399), (lambda: three_edge_connected_cubic(0, 160), 212)],
+        ids=["C_400xK2", "random_n160"],
+    )
+    def test_path_walks(self, monkeypatch, build, walks):
+        g = build()
+        path, calls = flows_trees._RootedForest.path, []
+
+        def counted_path(self, s, t):
+            calls.append((s, t))
+            return path(self, s, t)
+
+        monkeypatch.setattr(flows_trees._RootedForest, "path", counted_path)
+        nz_z23_flow(g)
+        assert len(calls) == walks
+
+
 def parity_subgraph_in_tree(g, tree):
     """The parity subgraph of g inside a spanning tree, by stripping leaves:
     the reference the children-first walk of the rooted forest must match.
@@ -676,8 +754,30 @@ class TestOutputChecks:
 
 
     def test_a_forest_with_a_cycle_raises(self, monkeypatch):
-        # the path query reports every two vertices as disconnected
-        monkeypatch.setattr(flows_trees._RootedForest, "path", lambda self, s, t: None)
+        # the same-tree query reports every two vertices as lying in
+        # different trees
+        monkeypatch.setattr(flows_trees._RootedForest, "same_tree", lambda self, s, t: False)
+        with pytest.raises(VerificationError, match="close a cycle"):
+            flows_trees._pack_spanning_trees(k4(), 2)
+
+    def test_a_union_find_that_joins_every_tree_raises(self, monkeypatch):
+        # a path is walked only where the union-find reads one tree
+        monkeypatch.setattr(flows_trees._RootedForest, "same_tree", lambda self, s, t: True)
+        with pytest.raises(VerificationError, match="union-find joins two trees"):
+            flows_trees._pack_spanning_trees(k4(), 2)
+
+    def test_a_union_find_that_drifts_from_the_forest_raises(self, monkeypatch):
+        # the union-find forgets the join of edge 0, so it splits a tree
+        # that the parent pointers hold together
+        link = flows_trees._RootedForest.link
+
+        def link_forgetting_edge_0(self, eid):
+            up = list(self.up)
+            link(self, eid)
+            if eid == 0:
+                self.up = up
+
+        monkeypatch.setattr(flows_trees._RootedForest, "link", link_forgetting_edge_0)
         with pytest.raises(VerificationError, match="close a cycle"):
             flows_trees._pack_spanning_trees(k4(), 2)
 
@@ -715,7 +815,7 @@ class TestOutputChecks:
             nz_z23_flow(k4())
 
     def test_packing_checks_survive_optimize(self):
-        # the same two faults, in a python -O process, which strips asserts
+        # the same three faults, in a python -O process, which strips asserts
         script = """
 import sys
 from normal7 import flows_trees as ft
@@ -723,7 +823,7 @@ from normal7.graph_core import PseudoGraph, VerificationError
 assert False, "asserts are on"
 RF = ft._RootedForest
 k5 = PseudoGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-init, path = RF.__init__, RF.path
+init, path, link = RF.__init__, RF.path, RF.link
 made = []
 def register(self, *args):
     init(self, *args)
@@ -732,13 +832,25 @@ def next_forests_path(self, s, t):
     own = path(self, s, t)
     other = path(made[(made.index(self) + 1) % len(made)], s, t)
     return None if own is None else other or own
+def link_forgetting_edge_0(self, eid):
+    up = list(self.up)
+    link(self, eid)
+    if eid == 0:
+        self.up = up
 RF.__init__ = register
-for lie in (lambda self, s, t: None, next_forests_path):
-    RF.path = lie
+faults = [
+    ("same_tree", lambda self, s, t: False),
+    ("path", next_forests_path),
+    ("link", link_forgetting_edge_0),
+]
+for name, lie in faults:
+    real = getattr(RF, name)
+    setattr(RF, name, lie)
     try:
         ft._pack_spanning_trees(k5, 3)
     except VerificationError as exc:
         print(exc)
+    setattr(RF, name, real)
 """
         src = str(Path(flows_trees.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -747,9 +859,10 @@ for lie in (lambda self, s, t: None, next_forests_path):
         )
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
         assert "close a cycle" in lines[0]
         assert "not in the packed forest it leaves" in lines[1]
+        assert "close a cycle" in lines[2]
 
 
 class TestAutomorphisms:

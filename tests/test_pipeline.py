@@ -34,6 +34,7 @@ from tests.corpora import (
     long_ladder_graph,
     petersen,
     prism,
+    prism_ring,
     theta_graph,
     three_bridge_star,
     two_bridge_chain,
@@ -433,13 +434,9 @@ class TestNormal7Coloring:
         assert sum(s.tag is CaseTag.Glue for s in steps) == len(bridges) + 1  # one root
 
     def test_large_prism_ring(self):
-        # C_500 x K2 has no bridge and no 2-edge-cut, so the whole graph
+        # C_1600 x K2 has no bridge and no 2-edge-cut, so the whole graph
         # goes to one packing of three trees in its doubled edges
-        length = 500
-        ring = [(i, (i + 1) % length) for i in range(length)]
-        edges = ring + [(u + length, v + length) for u, v in ring]
-        edges += [(i, i + length) for i in range(length)]
-        g = PseudoGraph.from_edges(2 * length, edges)
+        g = prism_ring(1600)
         assert not find_bridges(g) and not find_2_edge_cuts(g)
         ok, _ = is_normal(normal7_coloring(g))
         assert ok
