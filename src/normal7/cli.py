@@ -31,6 +31,7 @@ from normal7.graph_core import (
     VerificationError,
     parse_edge_list,
     parse_graph6,
+    verify_or_raise,
     write_dot,
     write_graph6,
 )
@@ -155,6 +156,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
     try:
         res = exact_chi_n(g, args.max_k, args.budget)
+        verify_or_raise(
+            res.chi is None or res.witness is not None, "the solver reported chi_n without a witness"
+        )
     except VerificationError as exc:  # the solver's witness failed its check
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -173,7 +177,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if res.chi is None:
         doc["exceeds"] = args.max_k
     else:
-        assert res.witness is not None
         doc["witness"] = {str(e): c for e, c in sorted(res.witness.colors.items())}
     print(json.dumps(doc, indent=2))
     return EXIT_OK
@@ -199,19 +202,25 @@ def census_line(line: str, exact_up_to: int, budget: Optional[int]) -> Dict[str,
         _require_simple_cubic(g)
         coloring = normal7_coloring(g)
         ok, _ = is_normal(coloring)
+        colors_used = len(set(coloring.colors.values()))
         exact_chi: Optional[int] = None
         solver_nodes = 0
         inconclusive = False
         if exact_up_to and g.num_vertices <= exact_up_to:
-            res = exact_chi_n(g, 7, budget)
+            # a verified coloring proves chi'_N <= colors_used, so only the
+            # smaller palettes are searched, and it is the witness once they
+            # are all refuted; unverified, it proves nothing
+            res = exact_chi_n(g, colors_used - 1 if ok else 7, budget)
             exact_chi = res.chi
+            if exact_chi is None and ok and not res.timed_out:
+                exact_chi = colors_used
             solver_nodes = res.nodes_explored
             inconclusive = res.timed_out
         record = CensusRecord(
             graph6=line,
             n=g.num_vertices,
             bridges=len(find_bridges(g)),
-            colors_used=len(set(coloring.colors.values())),
+            colors_used=colors_used,
             verified=ok,
             exact_chi=exact_chi,
             solver_nodes=solver_nodes,
@@ -361,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("input", nargs="?", default="-", help="file or - for stdin")
     census.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     census.add_argument(
-        "--exact-up-to", type=int, default=0,
+        "--exact-up-to", type=_int_at_least(0), default=0,
         help="also compute the exact value for graphs with at most this many vertices",
     )
     census.add_argument(

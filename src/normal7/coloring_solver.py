@@ -343,9 +343,21 @@ def exact_chi_n(
 
     An exact claim needs every smaller palette refuted, so a timeout at any
     level makes the whole answer inconclusive.
+
+    On a cubic graph k = 4 is never searched: it is reached only once k = 3
+    is refuted, and then it has no normal coloring either.  With 4 colors the
+    two endpoints of an edge see two color triples out of 4 that share the
+    edge's own color, so together at most 4 colors and no edge is rich.
+    Every edge is then poor: both its endpoints see the same triple.  Along
+    the edges of a component that triple never changes, so each component is
+    properly 3-edge-colored, and renaming colors per component 3-edge-colors
+    the whole graph, a normal 3-coloring.
     """
+    cubic = g.is_cubic()
     total = 0
     for k in range(0, k_max + 1):
+        if k == 4 and cubic:
+            continue
         res = find_normal_coloring(g, k, budget)
         total += res.nodes_explored
         if res.timed_out:

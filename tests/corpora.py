@@ -43,6 +43,14 @@ def prism_ring(length: int) -> PseudoGraph:
     return PseudoGraph.from_edges(2 * length, edges)
 
 
+def disjoint_union(*graphs: PseudoGraph) -> PseudoGraph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for _, u, v in g.edges()]
+        offset += g.num_vertices
+    return PseudoGraph.from_edges(offset, edges)
+
+
 def theta_graph() -> PseudoGraph:
     """Two vertices joined by three parallel edges."""
     return PseudoGraph.from_edges(2, [(0, 1), (0, 1), (0, 1)])

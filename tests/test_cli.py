@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from normal7.cli import (
     main,
     parse_graph_text,
 )
+from normal7.coloring_solver import SolverResult
 from normal7.flows_trees import PackingError
 from normal7.graph_core import write_graph6
 from normal7.matching import MatchingError
@@ -167,6 +172,30 @@ class TestExact:
         assert err.startswith("internal failure: VerificationError: ")
         assert "Traceback" not in err
 
+    def test_a_verdict_without_witness_is_internal(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "exact_chi_n", lambda g, k, b: SolverResult(3, None, 6, False))
+        rc, out, err = run(capsys, ["exact"], stdin=K4_G6, monkeypatch=monkeypatch)
+        assert rc == EXIT_VERIFY and not out
+        assert err == "internal failure: VerificationError: the solver reported chi_n without a witness\n"
+
+    def test_the_witness_check_survives_optimize(self, tmp_path):
+        script = f"""
+from normal7 import cli
+from normal7.coloring_solver import SolverResult
+assert False, "asserts are on"
+cli.exact_chi_n = lambda g, k, b: SolverResult(3, None, 6, False)
+print(cli.main(["exact", {str(tmp_path / "k4.g6")!r}]))
+"""
+        (tmp_path / "k4.g6").write_text(K4_G6 + "\n")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == f"{EXIT_VERIFY}\n"
+        assert "without a witness" in out.stderr
+
     def test_budget_is_inconclusive(self, capsys, monkeypatch):
         rc, out, _ = run(
             capsys, ["exact", "--budget", "2"], stdin=PETERSEN_G6,
@@ -297,6 +326,35 @@ class TestCensus:
         assert "error" in rec and rec["graph6"] == "garbage!!"
 
 
+class TestWitnessReuse:
+    """A census line's verified pipeline coloring is the witness for
+    chi'_N = colors_used once the solver refutes every smaller palette.  The
+    double gadget has chi'_N = 7; its palettes 3, 5 and 6 take 33, 124 and
+    151 nodes, and a k = 7 search 857 more."""
+
+    def test_only_the_smaller_palettes_are_searched(self):
+        rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=None)
+        assert rec["verified"] is True and rec["colors_used"] == 7
+        assert (rec["exact_chi"], rec["solver_nodes"]) == (7, 33 + 124 + 151)
+
+    @pytest.mark.parametrize(
+        "budget, exact_chi", [(150, None), (151, 7)], ids=["k6-cut", "k6-refuted"]
+    )
+    def test_a_budget_cut_below_colors_used_is_inconclusive(self, budget, exact_chi):
+        rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=budget)
+        assert rec["exact_chi"] == exact_chi
+        assert rec.get("inconclusive", False) is (exact_chi is None)
+
+    def test_an_unverified_coloring_is_no_witness(self, monkeypatch):
+        monkeypatch.setattr(cli, "is_normal", lambda col: (False, {}))
+        rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=None)
+        assert rec["verified"] is False
+        # the solver finds its own k = 7 witness
+        assert (rec["exact_chi"], rec["solver_nodes"]) == (7, 33 + 124 + 151 + 857)
+        rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=151)
+        assert rec["exact_chi"] is None and rec["inconclusive"] is True
+
+
 class TestNonAsciiInput:
     """The bytes C, 0xc3, 0xa9 ("C" then an e-acute in UTF-8) are not graph6."""
 
@@ -354,7 +412,7 @@ class TestCertify:
 class TestOptionRanges:
     """Counts out of range are usage errors, exit 2, before any input is read
     (a negative budget read as inconclusive, a negative --max-k as exceeded,
-    and --jobs below 1 as one job)."""
+    --jobs below 1 as one job, and a negative --exact-up-to as no exact run)."""
 
     @pytest.mark.parametrize(
         "argv, option, message",
@@ -365,8 +423,12 @@ class TestOptionRanges:
             (["exact", "--budget", "-1"], "--budget", "must be at least 0, got -1"),
             (["exact", "--max-k", "-3"], "--max-k", "must be at least 0, got -3"),
             (["exact", "--max-k", "three"], "--max-k", "invalid int value: 'three'"),
+            (["census", "--exact-up-to", "-1"], "--exact-up-to", "must be at least 0, got -1"),
         ],
-        ids=["jobs-0", "jobs-negative", "census-budget", "exact-budget", "max-k", "max-k-text"],
+        ids=[
+            "jobs-0", "jobs-negative", "census-budget", "exact-budget", "max-k", "max-k-text",
+            "exact-up-to",
+        ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv, option, message):
         with pytest.raises(SystemExit) as exc:

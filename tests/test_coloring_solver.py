@@ -20,7 +20,15 @@ from normal7.coloring_solver import (
 from normal7.flows_trees import GroupFlow, nz_z23_flow
 from normal7.graph_core import PseudoGraph
 
-from tests.corpora import k4, k33, petersen, prism, theta_graph
+from tests.corpora import (
+    cubic_census_upto,
+    disjoint_union,
+    k4,
+    k33,
+    petersen,
+    prism,
+    theta_graph,
+)
 from tests.test_flows_trees import cycle_space_flows
 
 
@@ -299,6 +307,31 @@ class TestSolverAgainstBruteForce:
         g = PseudoGraph.from_edges(5, [(0, i) for i in range(1, 5)])
         with pytest.raises(ValueError):
             find_normal_coloring(g, 3)
+
+
+def _four_color_lemma_graphs():
+    yield "petersen", petersen()
+    yield "theta", theta_graph()
+    yield "petersen+k4", disjoint_union(petersen(), k4())
+    for i, g in enumerate(cubic_census_upto(12)):
+        yield f"census-{i}", g
+
+
+class TestFourColorLemma:
+    """The reason exact_chi_n skips k = 4 on cubic graphs: a loopless cubic
+    graph has a normal 4-coloring exactly when it is 3-edge-colorable, and
+    each of its components then sees only 3 colors."""
+
+    def test_k4_decides_as_three_edge_coloring(self):
+        seen = 0
+        for name, g in _four_color_lemma_graphs():
+            res = find_normal_coloring(g, 4)
+            assert not res.timed_out, name
+            assert (res.chi is not None) == is_three_edge_colorable(g), name
+            if res.chi is not None:
+                assert len(set(res.witness.colors.values())) == 3, name
+            seen += 1
+        assert seen == 3 + 112
 
 
 class TestEnumeration:

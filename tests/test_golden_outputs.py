@@ -21,6 +21,7 @@ from normal7.normal7_pipeline import (
 from tests.corpora import (
     corpus_graphs,
     diamond_lobe_pair,
+    disjoint_union,
     doubled_edge_cubic,
     fig6_graph,
     k4,
@@ -34,14 +35,6 @@ from tests.corpora import (
 )
 
 GOLDEN_DIGEST = "5f541c5cc0b2075001bc71dd2d0d1193719c3120e750e46ab5ed05d135a3149f"
-
-
-def disjoint_union(*graphs: PseudoGraph) -> PseudoGraph:
-    edges, offset = [], 0
-    for g in graphs:
-        edges += [(u + offset, v + offset) for _, u, v in g.edges()]
-        offset += g.num_vertices
-    return PseudoGraph.from_edges(offset, edges)
 
 
 def relabeled(g: PseudoGraph, seed: int) -> PseudoGraph:

@@ -13,10 +13,12 @@ from collections import Counter
 import pytest
 
 from normal7.certify import run_claim
+from normal7.cli import census_line
 from normal7.coloring_solver import exact_chi_n, find_normal_coloring
+from normal7.graph_core import write_graph6
 from tests.corpora import cubic_census_upto, petersen
 
-CENSUS_DIGEST = "94ef21f0c7f28ec7f520781a248a8b8e05e28a2f7108156943fc052439ec09e4"
+CENSUS_DIGEST = "f06d7bdbcd83b170512c6b7a6d53f8c19a2527a92022daab02188d8e365f8db8"
 PETERSEN_K4_NODES = 1944
 
 
@@ -42,11 +44,12 @@ def test_census_chi_histogram(census_runs):
 
 
 def test_census_node_counts(census_runs):
-    assert sum(res.nodes_explored for res, _ in census_runs) == 1_717_314
+    assert sum(res.nodes_explored for res, _ in census_runs) == 1_702_354
     by_k = Counter()
     for res, per_k in census_runs:
-        # every cubic graph is refuted at k < 3 without a search node
-        assert res.nodes_explored == sum(per_k.values())
+        # every cubic graph is refuted at k < 3 without a search node, and
+        # exact_chi_n skips k = 4 on a cubic graph
+        assert res.nodes_explored == sum(per_k.values()) - per_k.get(4, 0)
         by_k.update(per_k)
     assert dict(by_k) == {3: 10_938, 4: 14_960, 5: 61_327, 6: 736_806, 7: 893_283}
 
@@ -61,10 +64,18 @@ def test_census_witness_digest(census_runs):
 
 def test_petersen_counts():
     res = exact_chi_n(petersen(), 7)
-    assert (res.chi, res.nodes_explored) == (5, 16_027)
+    assert (res.chi, res.nodes_explored) == (5, 16_027 - PETERSEN_K4_NODES)
     res = find_normal_coloring(petersen(), 4)
     assert res.chi is None and not res.timed_out
     assert res.nodes_explored == PETERSEN_K4_NODES
+
+
+def test_census_lines_reuse_the_pipeline_witness(census_runs):
+    """A census line searches only the palettes below the pipeline's
+    colors_used, and agrees with the full search on every chi."""
+    records = [census_line(write_graph6(g), 12, None) for g in cubic_census_upto(12)]
+    assert [rec["exact_chi"] for rec in records] == [res.chi for res, _ in census_runs]
+    assert sum(rec["solver_nodes"] for rec in records) == 809_071
 
 
 @pytest.mark.parametrize("budget", [0, 1, 1943, 1944, 1945])
