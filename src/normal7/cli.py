@@ -253,6 +253,14 @@ def _census_records(
         yield from pool.map(work, lines, chunksize=8)
 
 
+def _nearest_rank(ascending: List[float], percent: int) -> Optional[float]:
+    """The percentile (1 to 100) of an ascending list by nearest rank; None
+    when empty."""
+    if not ascending:
+        return None
+    return ascending[(percent * len(ascending) + 99) // 100 - 1]
+
+
 def cmd_census(args: argparse.Namespace) -> int:
     try:
         text = _read_text(args.input, per_line=True)
@@ -265,9 +273,12 @@ def cmd_census(args: argparse.Namespace) -> int:
     exact_hist: Dict[str, int] = {}
     failures = 0
     inconclusive = 0
+    solver_nodes = 0
+    elapsed: List[float] = []
     rc = EXIT_OK
     for rec in _census_records(lines, args.jobs, args.exact_up_to, args.budget):
         print(json.dumps(rec, sort_keys=True))
+        elapsed.append(rec["elapsed_ms"])
         if "error" in rec:
             failures += 1
             bad_line = rec["error"].startswith(
@@ -280,11 +291,13 @@ def cmd_census(args: argparse.Namespace) -> int:
         if rec.get("inconclusive"):
             inconclusive += 1
             rc = max(rc, EXIT_INCONCLUSIVE)
+        solver_nodes += rec["solver_nodes"]
         used = str(rec["colors_used"])
         colors_hist[used] = colors_hist.get(used, 0) + 1
         if rec["exact_chi"] is not None:
             key = str(rec["exact_chi"])
             exact_hist[key] = exact_hist.get(key, 0) + 1
+    elapsed.sort()
     summary = {
         "summary": True,
         "graphs": len(lines),
@@ -292,6 +305,10 @@ def cmd_census(args: argparse.Namespace) -> int:
         "inconclusive": inconclusive,
         "colors_used_histogram": colors_hist,
         "exact_chi_histogram": exact_hist,
+        "solver_nodes": solver_nodes,
+        "elapsed_ms_p50": _nearest_rank(elapsed, 50),
+        "elapsed_ms_p95": _nearest_rank(elapsed, 95),
+        "elapsed_ms_max": _nearest_rank(elapsed, 100),
     }
     print(json.dumps(summary, sort_keys=True))
     return rc

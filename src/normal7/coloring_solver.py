@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from normal7.cuts_reductions import find_bridges
 from normal7.flows_trees import EdgeStatus, GroupFlow, union_status, values_at
-from normal7.graph_core import PseudoGraph, verify_or_raise
+from normal7.graph_core import PseudoGraph, induced_subgraph, verify_or_raise
 
 
 class ImproperColoringError(Exception):
@@ -336,13 +337,31 @@ def find_normal_coloring(
     return SolverResult(None, None, stats.nodes, stats.timed_out)
 
 
+def _bridge_sides(g: PseudoGraph) -> List[PseudoGraph]:
+    """For each bridge xy and each end x of degree 3, the side H_x: the
+    component of g - xy holding x, plus xy and its end y as a leaf.  Smallest
+    edge count first, ties in bridge order."""
+    sides: List[PseudoGraph] = []
+    for b in find_bridges(g):
+        comps = g.connected_components(skip=(b,))
+        x0, y0 = g.endpoints(b)
+        for x, y in ((x0, y0), (y0, x0)):
+            if g.degree(x) == 3:
+                comp = next(c for c in comps if x in c)
+                sides.append(induced_subgraph(g, comp + [y])[0])
+    sides.sort(key=lambda h: h.num_edges)
+    return sides
+
+
 def exact_chi_n(
     g: PseudoGraph, k_max: int, budget: Optional[int] = None
 ) -> SolverResult:
     """Least palette size up to k_max admitting a normal coloring.
 
     An exact claim needs every smaller palette refuted, so a timeout at any
-    level makes the whole answer inconclusive.
+    level makes the whole answer inconclusive.  The budget holds per palette
+    size: the bridge-side searches and the whole-graph search at one k share
+    it, each getting what the ones before it left.
 
     On a cubic graph k = 4 is never searched: it is reached only once k = 3
     is refuted, and then it has no normal coloring either.  With 4 colors the
@@ -352,18 +371,43 @@ def exact_chi_n(
     the edges of a component that triple never changes, so each component is
     properly 3-edge-colored, and renaming colors per component 3-edge-colors
     the whole graph, a normal 3-coloring.
+
+    A palette k is refuted without a whole-graph search when some bridge side
+    has no normal k-coloring.  Let b = xy be a bridge with deg(x) = 3 and H_x
+    the component of g - b holding x, plus b and y, so y is a leaf of H_x.
+    Take a normal k-coloring of g and keep the colors of H_x's edges.  It is
+    proper, since H_x's incidences are a subset of g's.  An edge of H_x other
+    than b has both ends in the component, whose vertices meet the same edges
+    in H_x as in g, so its two endpoint color sets, and its status, are the
+    same as in g.  At y the union rule sees only b's color, which x also
+    sees; x sees 3 colors, so b spans exactly 3 and is poor.  Hence H_x has a
+    normal k-coloring whenever g has one.  At an end x of degree 2 the edge
+    b would span 2 colors, so such an end gives no side.  A side colored at
+    some k stays colorable at every larger k, the same colors in a larger
+    palette, so it is searched no more.  The whole-graph search that finds
+    the witness is the same call as without the sides, so chi and the
+    witness are the ones that search alone gives; the node total counts the
+    side searches in place of the whole-graph searches they spare.
     """
     cubic = g.is_cubic()
+    sides = _bridge_sides(g)
     total = 0
     for k in range(0, k_max + 1):
         if k == 4 and cubic:
             continue
-        res = find_normal_coloring(g, k, budget)
-        total += res.nodes_explored
-        if res.timed_out:
-            return SolverResult(None, None, total, True)
-        if res.chi is not None:
-            return SolverResult(k, res.witness, total, False)
+        left = budget
+        for h in sides + [g]:
+            res = find_normal_coloring(h, k, left)
+            total += res.nodes_explored
+            if res.timed_out:
+                return SolverResult(None, None, total, True)
+            if res.chi is None:
+                break  # k is refuted, by g or by one of its sides
+            if h is g:
+                return SolverResult(k, res.witness, total, False)
+            sides.remove(h)
+            if left is not None:
+                left -= res.nodes_explored
     return SolverResult(None, None, total, False)
 
 

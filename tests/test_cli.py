@@ -224,6 +224,17 @@ class TestCensus:
         assert summary["summary"] is True
         assert summary["graphs"] == 3 and summary["failures"] == 1
         assert summary["exact_chi_histogram"] == {"3": 1}
+        assert summary["solver_nodes"] == k4_rec["solver_nodes"] + pet_rec["solver_nodes"]
+        # the latencies of every line, the failed one too, by nearest rank
+        low, mid, high = sorted(rec["elapsed_ms"] for rec in (k4_rec, bad_rec, pet_rec))
+        assert summary["elapsed_ms_p50"] == mid
+        assert summary["elapsed_ms_p95"] == summary["elapsed_ms_max"] == high
+
+    def test_summary_percentiles_by_nearest_rank(self):
+        values = [float(v) for v in range(1, 21)]
+        assert [cli._nearest_rank(values, p) for p in (50, 95, 100)] == [10.0, 19.0, 20.0]
+        assert cli._nearest_rank([7.0], 50) == 7.0
+        assert cli._nearest_rank([], 95) is None
 
     @pytest.mark.parametrize(
         "jobs, cpus, workers", [(1000, 8, [3]), (1000, 2, [2]), (2, None, []), (1, 8, [])]
@@ -265,8 +276,8 @@ class TestCensus:
             rows = []
             for ln in text.splitlines():
                 doc = json.loads(ln)
-                doc.pop("elapsed_ms", None)
-                rows.append(doc)
+                # each line's elapsed_ms and the summary's percentiles of them
+                rows.append({k: v for k, v in doc.items() if not k.startswith("elapsed_ms")})
             return rows
 
         assert strip_timing(out1) == strip_timing(out2)
@@ -329,8 +340,10 @@ class TestCensus:
 class TestWitnessReuse:
     """A census line's verified pipeline coloring is the witness for
     chi'_N = colors_used once the solver refutes every smaller palette.  The
-    double gadget has chi'_N = 7; its palettes 3, 5 and 6 take 33, 124 and
-    151 nodes, and a k = 7 search 857 more."""
+    double gadget has chi'_N = 7.  Its first bridge side refutes palettes 3,
+    5 and 6 in 33, 124 and 151 nodes, as many as the whole-graph searches
+    take, so the whole graph is not searched below 7.  At k = 7 both sides
+    are colored, in 157 and 155 nodes, and the whole graph in 857."""
 
     def test_only_the_smaller_palettes_are_searched(self):
         rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=None)
@@ -350,7 +363,7 @@ class TestWitnessReuse:
         rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=None)
         assert rec["verified"] is False
         # the solver finds its own k = 7 witness
-        assert (rec["exact_chi"], rec["solver_nodes"]) == (7, 33 + 124 + 151 + 857)
+        assert (rec["exact_chi"], rec["solver_nodes"]) == (7, 33 + 124 + 151 + 157 + 155 + 857)
         rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=151)
         assert rec["exact_chi"] is None and rec["inconclusive"] is True
 

@@ -17,8 +17,9 @@ from normal7.coloring_solver import (
     is_normal,
     is_three_edge_colorable,
 )
+from normal7.cuts_reductions import find_bridges
 from normal7.flows_trees import GroupFlow, nz_z23_flow
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, induced_subgraph
 
 from tests.corpora import (
     cubic_census_upto,
@@ -27,6 +28,7 @@ from tests.corpora import (
     k33,
     petersen,
     prism,
+    subdivided_k4_edges,
     theta_graph,
 )
 from tests.test_flows_trees import cycle_space_flows
@@ -332,6 +334,58 @@ class TestFourColorLemma:
                 assert len(set(res.witness.colors.values())) == 3, name
             seen += 1
         assert seen == 3 + 112
+
+
+def _bridge_side(g, b, x):
+    """H_x: the component of g - b holding x, plus b and its other end as a
+    leaf; returned with the edge map from g."""
+    y = g.other_endpoint(b, x)
+    comp = next(c for c in g.connected_components(skip=(b,)) if x in c)
+    side, _, emap = induced_subgraph(g, comp + [y])
+    return side, emap
+
+
+class TestBridgeSideLemma:
+    """The reason exact_chi_n may refute a palette on one side of a bridge:
+    a normal coloring of g restricts to a normal coloring of every side H_x
+    whose near end x has degree 3, so a refuted side refutes g."""
+
+    def test_census_colorings_restrict_to_every_side(self):
+        bridged = 0
+        refuted = []
+        for g in cubic_census_upto(12):
+            bridges = find_bridges(g)
+            if not bridges:
+                continue
+            bridged += 1
+            res = exact_chi_n(g, 7)
+            sides = [_bridge_side(g, b, x) for b in bridges for x in g.endpoints(b)]
+            for side, emap in sides:
+                colors = {emap[e]: c for e, c in res.witness.colors.items() if e in emap}
+                assert is_normal(EdgeColoring(side, res.chi, colors))[0]
+            for k in (3, 5, 6, 7):
+                if any(find_normal_coloring(side, k).chi is None for side, _ in sides):
+                    whole = find_normal_coloring(g, k)
+                    assert whole.chi is None and not whole.timed_out
+                    refuted.append(k)
+        # the five bridged graphs are the census's chi'_N = 7 graphs up to
+        # n = 12, and a side refutes each of their palettes below 7
+        assert bridged == 5
+        assert sorted(refuted) == [3] * 5 + [5] * 5 + [6] * 5
+
+    def test_a_degree_two_end_gives_no_side(self):
+        """x = 10 has degree 2: on the side H_x the bridge 4-10 sees only the
+        two colors at x, so that side is never normal though g is."""
+        g = PseudoGraph.from_edges(
+            11, subdivided_k4_edges(0, 4) + subdivided_k4_edges(5, 9) + [(4, 10), (10, 9)]
+        )
+        b = g.edges_between(4, 10)[0]
+        assert b in find_bridges(g)
+        side, _ = _bridge_side(g, b, 10)
+        assert all(find_normal_coloring(side, k).chi is None for k in range(8))
+        plain = [find_normal_coloring(g, k).chi for k in range(3, 8)]
+        assert plain == [None, None, None, None, 7]
+        assert exact_chi_n(g, 7).chi == 7
 
 
 class TestEnumeration:
