@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from normal7.coloring_solver import (
     EdgeColoring,
@@ -27,6 +27,7 @@ from normal7.coloring_solver import (
     enumerate_normal_colorings,
 )
 from normal7.cuts_reductions import cycle_space_labels, find_bridges
+from normal7.flows_trees import STATUS_BY_UNION_SIZE
 from normal7.graph_core import PseudoGraph, verify_or_raise
 
 HOLDS = "holds"
@@ -126,45 +127,120 @@ def rung_lobes_graph() -> PseudoGraph:
     )
 
 
-# -- cycle space sweeps ---------------------------------------------------------
+# -- cycle space planes ---------------------------------------------------------
+#
+# A Z_2^3 flow is three binary cycles, one per bit of its values.  With the
+# edges at bit positions in g.edge_ids() order, a binary cycle is an int mask,
+# and bit j of the value on the edge at position p is bit p of plane j.
 
 
-def sweep_cycle_space(g: PseudoGraph) -> Iterator[List[int]]:
-    """Every conserving Z_2^3 flow exactly once, as a value list over edge ids.
+def _interleave(x0: int, x1: int, x2: int, width: int) -> List[int]:
+    """The Z_2^3 elements whose bit j is bit i of x_j, for i < width."""
+    return [(x0 >> i & 1) | (x1 >> i & 1) << 1 | (x2 >> i & 1) << 2 for i in range(width)]
 
-    Coefficient vectors over the fundamental-cycle basis run in lexicographic
-    order starting from all zeros, so the first yield is the zero flow.
+
+def _cycle_planes(g: PseudoGraph) -> List[int]:
+    """The 2^dim edge masks of the binary cycle space of g.
+
+    masks[a] is the XOR of the fundamental cycles whose bits a sets (bit i is
+    chord i of cycle_space_labels), built as masks[a & (a-1)] XOR the basis
+    cycle of a's lowest bit, so masks[0] is the empty cycle.
     """
     labels, chords = cycle_space_labels(g)
-    masks = [labels[e] for e in g.edge_ids()]
-    dim = len(chords)
-    m = len(masks)
-    values = [0] * m
-    per_bit: List[List[int]] = [[] for _ in range(dim)]
-    for i, mask in enumerate(masks):
-        for bit in range(dim):
-            if mask >> bit & 1:
-                per_bit[bit].append(i)
-    coeffs = [0] * dim
-    limit = 8  # the size of Z_2^3
-    yield list(values)
-    # Odometer over coefficients; only edges on the stepped cycle change.
-    while True:
-        pos = dim - 1
-        while pos >= 0 and coeffs[pos] == limit - 1:
-            coeffs[pos] = 0
-            step = limit - 1  # wrapping from limit-1 to 0 XORs out limit-1
-            for i in per_bit[pos]:
-                values[i] ^= step
-            pos -= 1
-        if pos < 0:
-            return
-        old = coeffs[pos]
-        coeffs[pos] = old + 1
-        step = old ^ (old + 1)
-        for i in per_bit[pos]:
-            values[i] ^= step
-        yield list(values)
+    basis = [0] * len(chords)
+    for p, e in enumerate(g.edge_ids()):
+        for i in range(len(chords)):
+            if labels[e] >> i & 1:
+                basis[i] |= 1 << p
+    masks = [0] * (1 << len(chords))
+    for a in range(1, len(masks)):
+        low = a & -a
+        masks[a] = masks[a ^ low] ^ basis[low.bit_length() - 1]
+    return masks
+
+
+def _verified_planes(g: PseudoGraph) -> List[int]:
+    """_cycle_planes(g), once it holds 2^dim distinct masks (dim = m - n + c)
+    and each mask meets every vertex in an even number of edge-ends: then it
+    is the whole binary cycle space, each cycle once."""
+    masks = _cycle_planes(g)
+    dim = g.num_edges - g.num_vertices + len(g.connected_components())
+    verify_or_raise(
+        len(masks) == 1 << dim and len(set(masks)) == len(masks),
+        f"the cycle-space table does not hold 2^{dim} distinct masks",
+    )
+    position = {e: p for p, e in enumerate(g.edge_ids())}
+    stars = []
+    for v in g.vertices():
+        star = 0
+        for e in g.incident(v):  # a loop appears twice and cancels
+            star ^= 1 << position[e]
+        stars.append(star)
+    verify_or_raise(
+        all(bin(mask & star).count("1") % 2 == 0 for mask in masks for star in stars),
+        "a cycle-space mask meets a vertex in an odd number of edge-ends",
+    )
+    return masks
+
+
+def _sweep_nowhere_zero(
+    g: PseudoGraph, read: int, check: Callable[[List[int]], object]
+) -> Tuple[int, int, Optional[Tuple[Dict[int, int], object]]]:
+    """Check every nowhere-zero Z_2^3 flow on g, swept as three cycle planes.
+
+    A plane triple (a0, a1, a2) is nowhere-zero when masks[a0], masks[a1]
+    and masks[a2] cover every edge, so for each (a0, a1) the admissible a2
+    come from a table keyed by the mask the first two leave uncovered.
+    check(values) gets a value list in g.edge_ids() order, reads only the
+    positions set in read (the others hold 0), and returns None when the flow
+    passes, else a verdict.  A flow's verdict depends only on its restriction
+    to read, so the table groups each a2 by its plane's restriction, and
+    check runs once per distinct restricted triple, deciding every flow in
+    the group.
+
+    Returns the universe (8^dim: every plane triple, zero or not), the number
+    of nowhere-zero flows, and the first failing flow as an edge id -> value
+    dict with its verdict, or None.  First means in the order of coefficient
+    vectors over the fundamental cycles, compared lexicographically from
+    chord 0, which starts at the zero flow.
+    """
+    ids = g.edge_ids()
+    m = len(ids)
+    full = (1 << m) - 1
+    masks = _verified_planes(g)
+    dim = len(masks).bit_length() - 1
+    covering: Dict[int, Dict[int, List[int]]] = {}
+    verdicts: Dict[Tuple[int, int, int], object] = {}
+    nowhere_zero = 0
+    first: Optional[Tuple[List[int], Tuple[int, int, int], object]] = None
+    for a0, c0 in enumerate(masks):
+        for a1, c1 in enumerate(masks):
+            left = full & ~(c0 | c1)
+            groups = covering.get(left)
+            if groups is None:
+                groups = covering[left] = {}
+                for a2, c2 in enumerate(masks):
+                    if c2 & left == left:
+                        groups.setdefault(c2 & read, []).append(a2)
+            for r2, a2s in groups.items():
+                nowhere_zero += len(a2s)
+                key = (c0 & read, c1 & read, r2)
+                if key in verdicts:
+                    verdict = verdicts[key]
+                else:
+                    verdict = verdicts[key] = check(_interleave(*key, m))
+                if verdict is None:
+                    continue
+                for a2 in a2s:
+                    order = _interleave(a0, a1, a2, dim)
+                    if first is None or order < first[0]:
+                        first = (order, (a0, a1, a2), verdict)
+    failure = None
+    if first is not None:
+        a0, a1, a2 = first[1]
+        values = _interleave(masks[a0], masks[a1], masks[a2], m)
+        failure = (dict(zip(ids, values)), first[2])
+    return len(masks) ** 3, nowhere_zero, failure
 
 
 # -- gadget detection -----------------------------------------------------------
@@ -222,7 +298,9 @@ def find_gadget_sites(host: PseudoGraph) -> List[GadgetSite]:
                     + section
                 )
             )
-            assert len(k_edges) == 7
+            verify_or_raise(
+                len(k_edges) == 7, f"near-K4 block at {v0} has {len(k_edges)} edges, not 7"
+            )
             sites.append(GadgetSite((v0, v1, v2, v3, v4), k_edges, section[0], b))
     sites.sort(key=lambda s: s.vertices)
     return sites
@@ -311,37 +389,36 @@ def certify_gadget_K(
 
 
 def _three_rich_sweep(g: PseudoGraph) -> Tuple[int, int, Optional[str], bool]:
-    """Scan every conserving flow; look for a nowhere-zero one with a vertex
+    """Sweep every conserving flow; look for a nowhere-zero one with a vertex
     all three of whose edges are rich.  Also report whether two rich edges
     at one vertex ever occur (a feasibility control for the check itself).
+    Returns the universe, the nowhere-zero count, the first such flow as a
+    counterexample string or None, and that control.
     """
     ids = g.edge_ids()
     index = {e: i for i, e in enumerate(ids)}
-    inc = {v: [index[e] for e in g.incident(v)] for v in g.vertices()}
-    ends = {e: g.endpoints(e) for e in ids}
-    universe = 0
-    nz = 0
-    counterexample: Optional[str] = None
+    inc = [[index[e] for e in g.incident(v)] for v in g.vertices()]
+    ends = [g.endpoints(e) for e in ids]
     two_rich_seen = False
-    for values in sweep_cycle_space(g):
-        universe += 1
-        if 0 in values:
-            continue
-        nz += 1
-        at = {v: {values[i] for i in inc[v]} for v in g.vertices()}
-        for v in g.vertices():
-            rich = [
-                e
-                for e in g.incident(v)
-                if len(at[ends[e][0]] | at[ends[e][1]]) == 5
-            ]
-            if len(rich) >= 2:
-                two_rich_seen = True
-            if len(rich) == 3 and counterexample is None:
-                counterexample = (
-                    f"flow {dict(zip(ids, values))} makes all edges at vertex "
-                    f"{v} rich"
-                )
+
+    def first_three_rich(values: List[int]) -> Optional[int]:
+        nonlocal two_rich_seen
+        at = [{values[i] for i in inc_v} for inc_v in inc]
+        rich = [0] * len(inc)  # rich edge-ends at each vertex
+        for x, y in ends:
+            if STATUS_BY_UNION_SIZE.get(len(at[x] | at[y])) is EdgeStatus.RICH:
+                rich[x] += 1
+                rich[y] += 1
+        if max(rich, default=0) >= 2:
+            two_rich_seen = True
+        return rich.index(3) if 3 in rich else None
+
+    # every vertex's check reads edges two steps out, so it reads them all
+    universe, nz, failure = _sweep_nowhere_zero(g, (1 << len(ids)) - 1, first_three_rich)
+    counterexample = None
+    if failure is not None:
+        flow, v = failure
+        counterexample = f"flow {flow} makes all edges at vertex {v} rich"
     return universe, nz, counterexample, two_rich_seen
 
 
@@ -434,30 +511,26 @@ def certify_fig6_flow_poor() -> Certificate:
     values (they form a 2-edge-cut, so their values must agree).
     """
     g = rung_lobes_graph()
-    ids = g.edge_ids()
-    index = {e: i for i, e in enumerate(ids)}
+    index = {e: i for i, e in enumerate(g.edge_ids())}
     rung, left_cut, right_cut = 7, 5, 6
     u, w = g.endpoints(rung)
     inc_u = [index[e] for e in g.incident(u)]
     inc_w = [index[e] for e in g.incident(w)]
-    universe = 0
-    nz = 0
-    counterexample: Optional[str] = None
-    for values in sweep_cycle_space(g):
-        universe += 1
-        if 0 in values:
-            continue
-        nz += 1
-        if values[index[left_cut]] != values[index[right_cut]]:
-            counterexample = (
-                f"cut edges {left_cut},{right_cut} differ in "
-                f"{dict(zip(ids, values))}"
-            )
-            break
+    left, right = index[left_cut], index[right_cut]
+    read = 0
+    for i in inc_u + inc_w + [left, right]:
+        read |= 1 << i
+
+    def fault(values: List[int]) -> Optional[str]:
+        if values[left] != values[right]:
+            return f"cut edges {left_cut},{right_cut} differ in"
         union = {values[i] for i in inc_u} | {values[i] for i in inc_w}
-        if len(union) != 3:
-            counterexample = f"rung not poor in {dict(zip(ids, values))}"
-            break
+        if STATUS_BY_UNION_SIZE.get(len(union)) is not EdgeStatus.POOR:
+            return "rung not poor in"
+        return None
+
+    universe, nz, failure = _sweep_nowhere_zero(g, read, fault)
+    counterexample = None if failure is None else f"{failure[1]} {failure[0]}"
     details: Dict[str, object] = {"nowhere_zero_flows": nz}
     if counterexample is not None:
         return Certificate("fig6-flow-poor", universe, FAILS, counterexample, details)

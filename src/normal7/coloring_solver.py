@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from normal7.cuts_reductions import find_bridges
-from normal7.flows_trees import EdgeStatus, GroupFlow, union_status, values_at
+from normal7.flows_trees import (
+    STATUS_BY_UNION_SIZE,
+    EdgeStatus,
+    GroupFlow,
+    union_status,
+    values_at,
+)
 from normal7.graph_core import PseudoGraph, induced_subgraph, verify_or_raise
 
 
@@ -63,33 +69,53 @@ def edge_status(c: EdgeColoring, e: int) -> EdgeStatus:
 def is_normal(c: EdgeColoring) -> Tuple[bool, Dict[int, EdgeStatus]]:
     """Check properness (raising if violated) and report every edge's status.
 
-    Exempt edges still receive a status in the report but do not affect the
-    verdict.
+    One scan of the edges in id order checks that each edge is colored within
+    the palette 1..k, raising ValueError at the first that is not, and
+    collects each vertex's color set (as a bit mask) and its number of
+    edge-ends (a loop gives its vertex two ends and one color).  A vertex
+    whose set is smaller than its count carries a loop or two edges of one
+    color: the first such vertex is walked again to raise
+    ImproperColoringError naming the loop or the clashing pair.  An edge's
+    status is STATUS_BY_UNION_SIZE of the size of the union of its two
+    endpoints' sets.  Exempt edges still receive a status in the report but
+    do not affect the verdict.
     """
     g = c.graph
-    for eid in g.edge_ids():
-        if eid not in c.colors:
+    colors = c.colors
+    k = c.k
+    at = [0] * g.num_vertices
+    ends = [0] * g.num_vertices
+    edges = list(g.edges())
+    for eid, u, v in edges:
+        if eid not in colors:
             raise ValueError(f"edge {eid} is uncolored")
-        col = c.colors[eid]
-        if not 1 <= col <= c.k:
-            raise ValueError(f"color {col} outside palette 1..{c.k}")
+        col = colors[eid]
+        if not 1 <= col <= k:
+            raise ValueError(f"color {col} outside palette 1..{k}")
+        at[u] |= 1 << col
+        at[v] |= 1 << col
+        ends[u] += 1
+        ends[v] += 1
     for v in g.vertices():
+        if at[v].bit_count() == ends[v]:
+            continue
         seen: Dict[int, int] = {}
         for eid in set(g.incident(v)):
             if g.is_loop(eid):
                 raise ImproperColoringError(f"loop {eid} cannot be properly colored")
-            col = c.colors[eid]
+            col = colors[eid]
             if col in seen:
                 raise ImproperColoringError(
                     f"edges {seen[col]} and {eid} share color {col} at vertex {v}"
                 )
             seen[col] = eid
-    report = {eid: edge_status(c, eid) for eid in g.edge_ids()}
-    ok = all(
-        status != EdgeStatus.INVALID
-        for eid, status in report.items()
-        if eid not in c.exempt
-    )
+    invalid = EdgeStatus.INVALID
+    report = {
+        eid: STATUS_BY_UNION_SIZE.get((at[u] | at[v]).bit_count(), invalid)
+        for eid, u, v in edges
+    }
+    exempt = c.exempt
+    ok = all(status is not invalid for eid, status in report.items() if eid not in exempt)
     return ok, report
 
 

@@ -102,16 +102,17 @@ def values_at(g: PseudoGraph, values: Mapping[int, int], v: int) -> Set[int]:
         raise ValueError(f"edge {exc.args[0]} at vertex {v} is uncolored") from None
 
 
+STATUS_BY_UNION_SIZE: Dict[int, EdgeStatus] = {3: EdgeStatus.POOR, 5: EdgeStatus.RICH}
+"""The poor/rich rule for flows and colorings alike, keyed by the size of the
+union of the value sets at an edge's two endpoints; any other size is
+EdgeStatus.INVALID."""
+
+
 def union_status(g: PseudoGraph, values: Mapping[int, int], eid: int) -> EdgeStatus:
-    """The poor/rich rule for flows and colorings alike: the size of the
-    union of the value sets at the two endpoints of eid."""
+    """The status of eid by STATUS_BY_UNION_SIZE."""
     u, v = g.endpoints(eid)
     size = len(values_at(g, values, u) | values_at(g, values, v))
-    if size == 3:
-        return EdgeStatus.POOR
-    if size == 5:
-        return EdgeStatus.RICH
-    return EdgeStatus.INVALID
+    return STATUS_BY_UNION_SIZE.get(size, EdgeStatus.INVALID)
 
 
 def flow_value_set(flow: GroupFlow, v: int) -> Set[GF2Vector]:

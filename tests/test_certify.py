@@ -1,10 +1,13 @@
-"""The claims' fixed graphs, cycle-space sweeps, and the exhaustive certificates."""
+"""The claims' fixed graphs, the cycle-space plane sweep, and the exhaustive certificates."""
 
 import json
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from normal7 import certify
 from normal7.certify import (
     CLAIMS,
     Certificate,
@@ -19,10 +22,14 @@ from normal7.certify import (
     k4_graph,
     run_claim,
     rung_lobes_graph,
-    sweep_cycle_space,
+    _cycle_planes,
+    _interleave,
+    _sweep_nowhere_zero,
+    _verified_planes,
 )
+from normal7.cuts_reductions import cycle_space_labels
 from normal7.flows_trees import GroupFlow, verify_flow
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, VerificationError
 from tests.corpora import petersen, theta_graph
 
 CLAIM_GRAPHS = {
@@ -105,33 +112,196 @@ def brute_force_conserving(g: PseudoGraph, k: int = 3):
     return out
 
 
+def sweep_cycle_space(g: PseudoGraph):
+    """Reference sweep: every conserving Z_2^3 flow once, as a value list over
+    edge ids, by an odometer over the coefficient vectors on the
+    fundamental-cycle basis (lexicographic, from all zeros)."""
+    labels, chords = cycle_space_labels(g)
+    masks = [labels[e] for e in g.edge_ids()]
+    dim = len(chords)
+    values = [0] * len(masks)
+    per_bit = [[i for i, mask in enumerate(masks) if mask >> bit & 1] for bit in range(dim)]
+    coeffs = [0] * dim
+    yield list(values)
+    while True:
+        pos = dim - 1
+        while pos >= 0 and coeffs[pos] == 7:
+            coeffs[pos] = 0
+            for i in per_bit[pos]:
+                values[i] ^= 7
+            pos -= 1
+        if pos < 0:
+            return
+        old = coeffs[pos]
+        coeffs[pos] = old + 1
+        for i in per_bit[pos]:
+            values[i] ^= old ^ (old + 1)
+        yield list(values)
+
+
+def plane_flows(g: PseudoGraph):
+    """Every flow of the plane table, one value list per index triple."""
+    masks = _verified_planes(g)
+    for a0, a1, a2 in product(range(len(masks)), repeat=3):
+        yield _interleave(masks[a0], masks[a1], masks[a2], g.num_edges)
+
+
+def plane_nowhere_zero(g: PseudoGraph):
+    """The nowhere-zero flows of the plane sweep, one value list each: read
+    on every edge, each flow is its own restriction, so the check sees each
+    flow the sweep counts exactly once."""
+    seen = []
+    _, count, failure = _sweep_nowhere_zero(g, (1 << g.num_edges) - 1, seen.append)
+    assert failure is None and count == len(seen)
+    return seen
+
+
+def packed(values):
+    return bytes(values)  # every value is below 8
+
+
+def loop_graph() -> PseudoGraph:
+    return PseudoGraph.from_edges(2, [(0, 0), (0, 1), (0, 1), (1, 1)])
+
+
 class TestCycleSpaceSweep:
     def test_matches_brute_force_on_theta(self):
         g = theta_graph()
-        swept = {tuple(v) for v in sweep_cycle_space(g)}
-        assert swept == brute_force_conserving(g)
+        swept = sorted(tuple(v) for v in plane_flows(g))
+        assert swept == sorted(brute_force_conserving(g))
 
     def test_matches_brute_force_with_loop(self):
-        g = PseudoGraph.from_edges(2, [(0, 0), (0, 1), (0, 1), (1, 1)])
-        swept = {tuple(v) for v in sweep_cycle_space(g)}
-        assert swept == brute_force_conserving(g)
+        g = loop_graph()
+        swept = sorted(tuple(v) for v in plane_flows(g))
+        assert swept == sorted(brute_force_conserving(g))
 
     def test_k4_count_and_conservation(self):
         g = k4_graph()
-        seen = set()
+        assert len({tuple(v) for v in plane_flows(g)}) == 512
         nz = 0
-        for values in sweep_cycle_space(g):
-            seen.add(tuple(values))
-            if 0 not in values:
-                nz += 1
-                assert verify_flow(GroupFlow(g, 3, dict(zip(g.edge_ids(), values)))).conserving
-        assert len(seen) == 512
+        for values in plane_nowhere_zero(g):
+            assert 0 not in values
+            nz += 1
+            assert verify_flow(GroupFlow(g, 3, dict(zip(g.edge_ids(), values)))).conserving
         # flow polynomial of K4 at 8: 7 * 6 * 5
         assert nz == 210
+        assert _sweep_nowhere_zero(g, 0, lambda values: None) == (512, 210, None)
 
     def test_starts_at_zero(self):
-        first = next(iter(sweep_cycle_space(petersen())))
+        assert _cycle_planes(petersen())[0] == 0
+        first = next(iter(plane_flows(petersen())))
         assert set(first) == {0}
+
+
+class TestPlaneTable:
+    """A repeated mask is refused in tests/test_output_checks.py."""
+
+    def test_rung_lobes_table(self):
+        masks = _verified_planes(rung_lobes_graph())
+        assert len(masks) == len(set(masks)) == 64
+
+    def test_odd_mask_is_refused(self, monkeypatch):
+        # a single edge meets its two ends once each
+        monkeypatch.setattr(certify, "_cycle_planes", lambda g: [0, 1])
+        with pytest.raises(VerificationError, match="odd number"):
+            _verified_planes(PseudoGraph.from_edges(2, [(0, 1), (0, 1)]))
+
+
+SWEEP_GRAPHS = {
+    "theta": theta_graph,
+    "loop": loop_graph,
+    "k4": k4_graph,
+    "k33": k33_graph,
+    "rung_lobes": rung_lobes_graph,
+}
+
+
+class TestPlaneSweepMatchesOdometer:
+    """The plane sweep and the reference odometer give the same flows."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    def test_same_flows(self, name):
+        g = SWEEP_GRAPHS[name]()
+        reference = sorted(map(packed, sweep_cycle_space(g)))
+        assert sorted(map(packed, plane_flows(g))) == reference
+        nz = [v for v in reference if 0 not in v]
+        assert sorted(map(packed, plane_nowhere_zero(g))) == nz
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sides=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        picks=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 2)), max_size=7
+        ),
+    )
+    def test_small_multigraphs(self, sides, picks):
+        # two vertex blocks with no edge between them: at least two components
+        n0, n1 = sides
+        edges = [
+            (u % n0, v % n0) if first else (n0 + u % n1, n0 + v % n1)
+            for first, u, v in picks
+        ]
+        g = PseudoGraph.from_edges(n0 + n1, edges)
+        dim = g.num_edges - g.num_vertices + len(g.connected_components())
+        assume(dim <= 4)
+        reference = [list(v) for v in sweep_cycle_space(g)]
+        assert sorted(map(packed, plane_flows(g))) == sorted(map(packed, reference))
+        nz = [v for v in reference if 0 not in v]
+        assert sorted(map(packed, plane_nowhere_zero(g))) == sorted(map(packed, nz))
+        # the memo and the first failure: a check reading two positions only
+        last = g.num_edges - 1
+        if last < 0:
+            return
+        read = 1 | 1 << last
+        fails = [v for v in nz if v[0] == v[last]]
+        universe, count, failure = _sweep_nowhere_zero(
+            g, read, lambda values: values[0] if values[0] == values[last] else None
+        )
+        assert (universe, count) == (8 ** dim, len(nz))
+        if fails:
+            assert failure == (dict(zip(g.edge_ids(), fails[0])), fails[0][0])
+        else:
+            assert failure is None
+
+
+def first_fig6_fault(g: PseudoGraph):
+    """The counterexample the fig6-flow-poor claim reports on g: the first
+    failing nowhere-zero flow of the reference sweep."""
+    ids = g.edge_ids()
+    index = {e: i for i, e in enumerate(ids)}
+    u, w = g.endpoints(7)
+    for values in sweep_cycle_space(g):
+        if 0 in values:
+            continue
+        if values[index[5]] != values[index[6]]:
+            return f"cut edges 5,6 differ in {dict(zip(ids, values))}"
+        if len({values[index[e]] for e in g.incident(u) + g.incident(w)}) != 3:
+            return f"rung not poor in {dict(zip(ids, values))}"
+    return None
+
+
+# edges 5 and 6 are a 2-edge-cut, and edge 7 is rich in some flow
+RICH_RUNG_EDGES = [
+    (1, 2), (0, 3), (1, 3), (2, 3), (4, 5), (1, 5),
+    (0, 6), (0, 2), (4, 6), (4, 7), (5, 7), (6, 7),
+]
+
+
+class TestFailingFlowClaim:
+    """On graphs where it fails, the plane sweep names the same flow as the
+    reference sweep."""
+
+    @pytest.mark.parametrize(
+        "build, kind",
+        [(k33_graph, "cut edges"), (lambda: PseudoGraph.from_edges(8, RICH_RUNG_EDGES), "rung")],
+    )
+    def test_first_counterexample(self, monkeypatch, build, kind):
+        g = build()
+        monkeypatch.setattr(certify, "rung_lobes_graph", build)
+        cert = certify_fig6_flow_poor()
+        assert cert.verdict == "fails"
+        assert cert.counterexample == first_fig6_fault(g)
+        assert cert.counterexample.startswith(kind)
 
 
 class TestGadgetDetection:

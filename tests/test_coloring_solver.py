@@ -1,9 +1,11 @@
 """Coloring semantics, the verifier, flow conversion, and the exact solver."""
 
 import itertools
+import random
 
 import pytest
 
+from normal7 import certify
 from normal7.coloring_solver import (
     EdgeColoring,
     EdgeStatus,
@@ -20,6 +22,7 @@ from normal7.coloring_solver import (
 from normal7.cuts_reductions import find_bridges
 from normal7.flows_trees import GroupFlow, nz_z23_flow
 from normal7.graph_core import PseudoGraph, induced_subgraph
+from normal7.normal7_pipeline import normal7_coloring
 
 from tests.corpora import (
     cubic_census_upto,
@@ -28,6 +31,7 @@ from tests.corpora import (
     k33,
     petersen,
     prism,
+    random_pseudograph,
     subdivided_k4_edges,
     theta_graph,
 )
@@ -181,8 +185,6 @@ class TestIsNormal:
             is_normal(EdgeColoring(g, 3, {0: 1, 1: 2, 2: 3}))
 
     def test_matches_oracle_on_random_colorings(self):
-        import random
-
         rng = random.Random(7)
         g = prism()
         ids = g.edge_ids()
@@ -442,3 +444,140 @@ class TestThreeEdgeColorable:
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError):
             is_three_edge_colorable(cycle(4))
+
+
+def per_edge_is_normal(c):
+    """Reference: the verifier that re-derives both endpoint color sets of
+    every edge through edge_status, as is_normal did before its one pass."""
+    g = c.graph
+    for eid in g.edge_ids():
+        if eid not in c.colors:
+            raise ValueError(f"edge {eid} is uncolored")
+        col = c.colors[eid]
+        if not 1 <= col <= c.k:
+            raise ValueError(f"color {col} outside palette 1..{c.k}")
+    for v in g.vertices():
+        seen = {}
+        for eid in set(g.incident(v)):
+            if g.is_loop(eid):
+                raise ImproperColoringError(f"loop {eid} cannot be properly colored")
+            col = c.colors[eid]
+            if col in seen:
+                raise ImproperColoringError(
+                    f"edges {seen[col]} and {eid} share color {col} at vertex {v}"
+                )
+            seen[col] = eid
+    report = {eid: edge_status(c, eid) for eid in g.edge_ids()}
+    ok = all(
+        status != EdgeStatus.INVALID
+        for eid, status in report.items()
+        if eid not in c.exempt
+    )
+    return ok, report
+
+
+def outcome(verify, c):
+    """What verify does on c: its result, or the type and message it raises."""
+    try:
+        return ("returns", verify(c))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raises", type(exc), str(exc))
+
+
+def assert_same_verdict(c):
+    got = outcome(is_normal, c)
+    assert got == outcome(per_edge_is_normal, c), c.colors
+    return got
+
+
+@pytest.fixture(scope="module")
+def census_colorings():
+    return [normal7_coloring(g) for g in cubic_census_upto(14)]
+
+
+def recolored(rng, c):
+    """c with one seeded change: an edge takes its neighbour's color, takes a
+    random color in 0..k+1, or loses its color."""
+    g = c.graph
+    colors = dict(c.colors)
+    e = rng.choice(g.edge_ids())
+    kind = rng.randrange(3)
+    if kind == 0:
+        v = rng.choice(g.endpoints(e))
+        colors[e] = colors[rng.choice(g.incident(v))]
+    elif kind == 1:
+        colors[e] = rng.randint(0, c.k + 1)
+    else:
+        del colors[e]
+    return EdgeColoring(g, c.k, colors, c.exempt)
+
+
+class TestOnePassIsNormal:
+    """is_normal agrees with the per-edge reference: verdict, report, and the
+    type and message of anything it raises."""
+
+    def test_census_pipeline_colorings(self, census_colorings):
+        rng = random.Random(11)
+        for c in census_colorings:
+            assert assert_same_verdict(c)[1][0]
+            ids = c.graph.edge_ids()
+            exempt = frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+            assert_same_verdict(EdgeColoring(c.graph, c.k, c.colors, exempt))
+
+    def test_claim_enumerations(self, monkeypatch):
+        seen = []
+
+        def both(c):
+            seen.append(c)
+            return assert_same_verdict(c)[1]
+
+        monkeypatch.setattr(certify, "is_normal", both)
+        assert certify.certify_gadget_K(certify.double_gadget_graph()).verdict == "holds"
+        gadget = len(seen)
+        assert certify.certify_fig6_normal6().verdict == "holds"
+        assert gadget == 336 and len(seen) > gadget + 174
+
+    def test_pendant_and_exempt_edges(self):
+        block = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 5)]
+        graphs = [PseudoGraph.from_edges(6, block), spider(), cycle(5)]
+        for g in graphs:
+            pendants = frozenset(
+                e for e, u, v in g.edges() if 1 in (g.degree(u), g.degree(v))
+            )
+            count = 0
+
+            def check(c):
+                nonlocal count
+                count += 1
+                assert assert_same_verdict(c)[1][0]
+                for exempt in (pendants, frozenset(g.edge_ids()[:1])):
+                    assert_same_verdict(EdgeColoring(g, c.k, c.colors, exempt))
+                return True
+
+            enumerate_normal_colorings(g, 7, check)
+            assert count > 0
+        # every coloring of small subcubic graphs, normal or not
+        for g in (spider(), path(4)):
+            for combo in itertools.product(range(1, 5), repeat=g.num_edges):
+                assert_same_verdict(EdgeColoring(g, 4, dict(zip(g.edge_ids(), combo))))
+
+    def test_random_improper_recolorings(self, census_colorings):
+        rng = random.Random(5)
+        raised = set()
+        for c in census_colorings:
+            for _ in range(3):
+                got = assert_same_verdict(recolored(rng, c))
+                if got[0] == "raises":
+                    raised.add(got[1])
+        assert raised == {ValueError, ImproperColoringError}
+
+    def test_loops_and_parallel_edges(self):
+        rng = random.Random(3)
+        raised = set()
+        for _ in range(300):
+            g = random_pseudograph(rng, rng.randint(1, 5), rng.randint(1, 7))
+            colors = {e: rng.randint(1, 5) for e in g.edge_ids()}
+            got = assert_same_verdict(EdgeColoring(g, 5, colors))
+            if got[0] == "raises":
+                raised.add(got[2].split()[0])
+        assert raised == {"loop", "edges"}

@@ -1,15 +1,18 @@
-"""One digest over the pipeline's outputs, pinned.
+"""Digests over the pipeline's and the certificates' outputs, pinned.
 
-The digest covers the colors and certificate steps of normal7_coloring on
-every census graph and on a set of seeded builds from tests/corpora.py, and
-the values of flow_edge_poor and flow_two_adjacent_rich on those builds.  A
-refactor must leave it unchanged; a change that alters outputs on purpose
-records the new digest and says why.
+The first digest covers the colors and certificate steps of normal7_coloring
+on every census graph and on a set of seeded builds from tests/corpora.py,
+and the values of flow_edge_poor and flow_two_adjacent_rich on those builds.
+The second is the SHA-256 of what `normal7 certify --all` prints: every
+verdict, universe, count and counterexample, including the K4 flow that
+makes a vertex fully rich.  A refactor must leave both unchanged; a change
+that alters outputs on purpose records the new digest and says why.
 """
 
 import hashlib
 import random
 
+from normal7.cli import main
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 from normal7.graph_core import PseudoGraph
 from normal7.normal7_pipeline import (
@@ -35,6 +38,7 @@ from tests.corpora import (
 )
 
 GOLDEN_DIGEST = "5f541c5cc0b2075001bc71dd2d0d1193719c3120e750e46ab5ed05d135a3149f"
+CERTIFY_DIGEST = "b356133c2478079d1ef55fa51723aeae6ace76a084207a1f50091b1df2065229"
 
 
 def relabeled(g: PseudoGraph, seed: int) -> PseudoGraph:
@@ -106,3 +110,9 @@ def test_outputs_match_the_pinned_digest():
     for row in output_rows():
         h.update(row.encode() + b"\n")
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_certify_output_matches_the_pinned_digest(capsys):
+    assert main(["certify", "--all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGEST

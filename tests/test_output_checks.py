@@ -13,11 +13,22 @@ from pathlib import Path
 import pytest
 
 from normal7 import certify, coloring_solver, flows_trees, matching
-from normal7.graph_core import VerificationError
+from normal7.graph_core import PseudoGraph, VerificationError
 from tests.corpora import k4, k5, petersen
 
 
 _real_pack = flows_trees._pack_spanning_trees
+_real_planes = certify._cycle_planes
+_real_edges_between = PseudoGraph.edges_between
+
+
+def _one_mask_twice(g):
+    masks = _real_planes(g)
+    return masks[:1] + masks[:-1]
+
+
+def _each_edge_twice(g, u, v):
+    return _real_edges_between(g, u, v) * 2
 
 
 def _triangle_at_y(g, _parities):
@@ -30,7 +41,7 @@ def _constant_values(g, _parities):
     return {d: 3 for d in g.edge_ids()}
 
 
-# (id, module, name replaced, fake, call, message of the check that catches it)
+# (id, module or class, name replaced, fake, call, message of the check that catches it)
 FAULTS = [
     (
         "find_normal_coloring",
@@ -79,6 +90,22 @@ FAULTS = [
         lambda g: (0, 0, None, False),
         certify.certify_k33_three_rich,
         "never saw two rich edges",
+    ),
+    (
+        "certify_fig6_flow_poor",
+        certify,
+        "_cycle_planes",
+        _one_mask_twice,
+        certify.certify_fig6_flow_poor,
+        "distinct masks",
+    ),
+    (
+        "find_gadget_sites",
+        PseudoGraph,
+        "edges_between",
+        _each_edge_twice,
+        lambda: certify.find_gadget_sites(certify.double_gadget_graph()),
+        "edges, not 7",
     ),
 ]
 
