@@ -123,6 +123,16 @@ def require_bridgeless_cubic(g: PseudoGraph, who: str) -> None:
         raise ValueError(f"{who} requires a bridgeless graph")
 
 
+def _connected_labels(g: PseudoGraph) -> Dict[int, int]:
+    """The labels of cycle_space_labels, or ValueError when g is
+    disconnected.  A search forest of c trees has n - c edges, so the
+    m - n + c chords count the components without a second search."""
+    labels, chords = cycle_space_labels(g)
+    if len(chords) - g.num_edges + g.num_vertices > 1:
+        raise ValueError("graph must be connected")
+    return labels
+
+
 def _cut_from_sides(g: PseudoGraph, edges: Iterable[int], comps: List[List[int]]) -> EdgeCut:
     verify_or_raise(len(comps) == 2, f"edges {sorted(edges)} do not split the graph in two")
     side_a, side_b = comps
@@ -145,10 +155,7 @@ def find_2_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
     Every pair inside a group of equal labels is a cut; a loop's label is
     its own chord bit, so loops never share a group.
     """
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    labels, _ = cycle_space_labels(g)
-    groups = _by_label(labels)
+    groups = _by_label(_connected_labels(g))
     if 0 in groups:
         raise ValueError("graph must be bridgeless")
     cuts: List[EdgeCut] = []
@@ -183,9 +190,7 @@ def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
     """
     if not g.is_cubic():
         raise ValueError("graph must be cubic")
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    labels, _ = cycle_space_labels(g)
+    labels = _connected_labels(g)
     cuts: List[EdgeCut] = []
     for triple in _three_cut_candidates(g, labels):
         comps = g.connected_components(skip=triple)

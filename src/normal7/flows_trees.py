@@ -4,12 +4,14 @@ Group elements of Z_2^k are stored as k-bit ints; addition is xor.  The
 generator convention is fixed project-wide: x = 001, y = 010, z = 100.
 
 Every tree flow comes from one tree representation: the packer returns
-edge-disjoint spanning trees as rooted forests (parent pointers), and each
-flow is read off them.  A tree's parity subgraph, found by one
-children-first walk of its parent pointers, has an even complement; bit i
-of an edge's value is set when the edge lies outside the i-th parity
-subgraph.  A fundamental cycle is the tree's own path between the ends of
-a non-tree edge.
+edge-disjoint spanning trees as rooted forests (flat parent-vertex and
+parent-edge lists, -1 at a root), and each flow is read off them.  A
+tree's parity subgraph, found by one children-first walk of its parent
+pointers, has an even complement; bit i of an edge's value is set when the
+edge lies outside the i-th parity subgraph.  A fundamental cycle is the
+tree's own path between the ends of a non-tree edge.  The Z_2^3 flow of a
+3-edge-connected graph packs three trees in its doubled graph, where
+copies 2i and 2i + 1 stand for the i-th edge.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ def _edge_ends(g: PseudoGraph) -> List[Optional[Tuple[int, int]]]:
 
 
 class _RootedForest:
-    """A forest held as parent pointers: par[v] = (parent, edge id), or None
-    at a root.  ends maps edge ids to endpoints, as built by _edge_ends.
+    """A forest held as flat parent pointers: par[v] is v's parent vertex and
+    pedge[v] the id of the edge to it, both -1 at a root.  ends maps edge
+    ids to endpoints, as built by _edge_ends.
 
     A merge-only union-find over the trees rides along (up[v] leads towards
     the representative of v's tree), joined in link and never split.  The
@@ -147,11 +150,12 @@ class _RootedForest:
     ends, which leaves the vertex partition of a forest as it was, so a
     tree partition that only ever merges is all the packer needs."""
 
-    __slots__ = ("ends", "par", "up")
+    __slots__ = ("ends", "par", "pedge", "up")
 
     def __init__(self, ends: List[Optional[Tuple[int, int]]], n: int):
         self.ends = ends
-        self.par: List[Optional[Tuple[int, int]]] = [None] * n
+        self.par = [-1] * n
+        self.pedge = [-1] * n
         self.up = list(range(n))
 
     def _find(self, v: int) -> int:
@@ -164,13 +168,25 @@ class _RootedForest:
         return root
 
     def same_tree(self, s: int, t: int) -> bool:
-        """Whether s and t lie in one tree, read off the union-find alone."""
-        return self._find(s) == self._find(t)
+        """Whether s and t lie in one tree, read off the union-find alone:
+        both finds, then both path compressions, in one call."""
+        up = self.up
+        a, b = s, t
+        while up[a] != a:
+            a = up[a]
+        while up[b] != b:
+            b = up[b]
+        while up[s] != a:
+            up[s], s = a, up[s]
+        while up[t] != b:
+            up[t], t = b, up[t]
+        return a == b
 
     def holds(self, eid: int) -> bool:
         """Whether edge eid is in this forest: the parent edge of one of its ends."""
         a, b = self.ends[eid]  # type: ignore[misc]
-        return self.par[a] == (b, eid) or self.par[b] == (a, eid)
+        pedge = self.pedge
+        return pedge[a] == eid or pedge[b] == eid
 
     def path(self, s: int, t: int) -> Optional[List[int]]:
         """Edge ids on the forest path from t to s, in that order, or None
@@ -178,7 +194,7 @@ class _RootedForest:
 
         Walks up from s and t in turns; the first vertex either walk finds
         on the other's trail is their lowest common ancestor."""
-        par = self.par
+        par, pedge = self.par, self.pedge
         s_edges: List[int] = []
         t_edges: List[int] = []
         s_seen = {s: 0}  # vertex on the s-walk -> edges below it on that walk
@@ -190,15 +206,15 @@ class _RootedForest:
             if b in s_seen:
                 return t_edges + s_edges[: s_seen[b]][::-1]
             up_a, up_b = par[a], par[b]
-            if up_a is None and up_b is None:
+            if up_a < 0 and up_b < 0:
                 return None
-            if up_a is not None:
-                a, e = up_a
-                s_edges.append(e)
+            if up_a >= 0:
+                s_edges.append(pedge[a])
+                a = up_a
                 s_seen[a] = len(s_edges)
-            if up_b is not None:
-                b, e = up_b
-                t_edges.append(e)
+            if up_b >= 0:
+                t_edges.append(pedge[b])
+                b = up_b
                 t_seen[b] = len(t_edges)
 
     def link(self, eid: int) -> None:
@@ -207,20 +223,17 @@ class _RootedForest:
         VerificationError when both endpoints lie in one tree by the parent
         pointers, so they never close a cycle, whatever the union-find says."""
         a, b = self.ends[eid]  # type: ignore[misc]
-        par = self.par
-        child, step = a, par[a]
-        par[a] = None
-        while step is not None:
-            v, e = step
-            step = par[v]
-            par[v] = (child, e)
-            child = v
+        par, pedge = self.par, self.pedge
+        child, v, e = a, par[a], pedge[a]
+        par[a] = pedge[a] = -1
+        while v >= 0:
+            par[v], pedge[v], child, v, e = child, e, v, par[v], pedge[v]
         root = b
-        while par[root] is not None:
-            root = par[root][0]  # type: ignore[index]
+        while par[root] >= 0:
+            root = par[root]
         if root == a:
             raise VerificationError(f"edge {eid} would close a cycle in a packed forest")
-        par[a] = (b, eid)
+        par[a], pedge[a] = b, eid
         self.up[self._find(a)] = self._find(b)
 
     def cut(self, eid: int) -> None:
@@ -229,11 +242,12 @@ class _RootedForest:
         if not self.holds(eid):
             raise VerificationError(f"edge {eid} is not in the packed forest it leaves")
         a, b = self.ends[eid]  # type: ignore[misc]
-        self.par[a if self.par[a] == (b, eid) else b] = None
+        low = a if self.pedge[a] == eid else b
+        self.par[low] = self.pedge[low] = -1
 
     def edges(self) -> Set[int]:
         """Ids of the forest's edges, one parent edge per non-root vertex."""
-        return {up[1] for up in self.par if up is not None}
+        return {e for e in self.pedge if e >= 0}
 
     def parity_subgraph(self, odd: Sequence[int]) -> Set[int]:
         """The edges A of this spanning tree with deg_A(v) = odd[v] (mod 2)
@@ -242,21 +256,21 @@ class _RootedForest:
         Walks the parent pointers children first: once a vertex's children
         are settled, it keeps its parent edge exactly when its count is
         odd.  Every choice is forced, so A is unique within the tree."""
-        par = self.par
+        par, pedge = self.par, self.pedge
         count = list(odd)
         unsettled = [0] * len(par)  # children not yet walked
-        for up in par:
-            if up is not None:
-                unsettled[up[0]] += 1
+        for p in par:
+            if p >= 0:
+                unsettled[p] += 1
         ready = [v for v, c in enumerate(unsettled) if c == 0]
         result: Set[int] = set()
         while ready:
             v = ready.pop()
-            if par[v] is None:
+            p = par[v]
+            if p < 0:
                 continue
-            p, e = par[v]  # type: ignore[misc]
             if count[v] % 2:
-                result.add(e)
+                result.add(pedge[v])
                 count[p] += 1
             unsettled[p] -= 1
             if not unsettled[p]:
@@ -275,13 +289,16 @@ def _open_forest(owner: List[int], trees: List[_RootedForest], x: int) -> int:
 
 
 def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
-    """One matroid-union augmentation step: try to absorb edge e.
+    """One matroid-union augmentation step: try to absorb edge e, which no
+    forest holds yet.
 
-    Breadth-first over exchanges: edge y may enter forest i directly when
-    its endpoints lie in different trees there, or in place of any edge on
-    the forest path between them.  owner[y] is y's forest index, or -1.
-    Applies the shortest exchange chain to owner and trees and returns
-    True, or returns False when e cannot be absorbed.
+    When e's ends lie in different trees of some forest, e enters the
+    first such forest at once: no search, no exchange chain.  Otherwise
+    the search runs breadth-first over exchanges: edge y may enter forest
+    i directly when its endpoints lie in different trees there, or in
+    place of any edge on the forest path between them.  owner[y] is y's
+    forest index, or -1.  Applies the shortest exchange chain to owner and
+    trees and returns True, or returns False when e cannot be absorbed.
 
     Each edge is tested for a direct entry when it is queued, by the
     union-find, not when it is popped: the queue is first in, first out,
@@ -289,12 +306,13 @@ def _try_augment(owner: List[int], trees: List[_RootedForest], e: int) -> bool:
     first one a pop-time test would find, and it takes the same (first
     such) forest and the same chain.  Forest paths are walked only for the
     edges popped before that edge was queued."""
-    ends = trees[0].ends
-    parent: Dict[int, Optional[Tuple[int, int]]] = {e: None}
     into = _open_forest(owner, trees, e)
     if into >= 0:
-        _exchange(owner, trees, parent, e, into)
+        owner[e] = into
+        trees[into].link(e)
         return True
+    ends = trees[0].ends
+    parent: Dict[int, Optional[Tuple[int, int]]] = {e: None}
     queue = deque([e])
     while queue:
         y = queue.popleft()
@@ -342,27 +360,42 @@ def _exchange(
         trees[into].link(x)
 
 
-def _is_spanning_tree(g: PseudoGraph, edges: Set[int]) -> bool:
-    if len(edges) != g.num_vertices - 1:
+def _is_spanning_tree(ends: Sequence[Optional[Tuple[int, int]]], n: int, edges: Set[int]) -> bool:
+    """Whether edges are n - 1 edges of ends that close no cycle, that is a
+    spanning tree on n vertices; one union-find pass over the edges."""
+    if len(edges) != n - 1:
         return False
-    others = [e for e in g.edge_ids() if e not in edges]
-    return len(g.connected_components(skip=others)) == 1
+    up = list(range(n))
+    for e in edges:
+        a, b = ends[e]  # type: ignore[misc]
+        while up[a] != a:
+            up[a] = a = up[up[a]]
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        if a == b:
+            return False
+        up[a] = b
+    return True
 
 
 def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
     """k edge-disjoint spanning trees of g as rooted forests, or PackingError.
 
     Matroid-union augmentation over the edges in id order (loops skipped).
-    The only state is one _RootedForest per forest (parent pointers over
-    one ends array) plus owner[eid], the index of the forest holding each
-    edge, or -1.  An exchange query walks up from the two endpoints instead
-    of searching the forest; a forest path is unique, so it returns the
-    edges a search would.  Nothing is held twice, so no copy needs
-    re-checking against another: each edge has one owner, so the forests
-    are disjoint by construction; link raises VerificationError on an edge
-    that would close a cycle, and cut on an edge the forest does not hold.
-    The forests are returned as they are, the one tree representation every
-    flow here is built from; each is checked once to be a spanning tree.
+    The only state is one _RootedForest per forest (flat parent-vertex and
+    parent-edge lists and a union-find, over one ends array) plus
+    owner[eid], the index of the forest holding each edge, or -1.  An edge
+    whose ends lie in different trees of a forest is linked there at once;
+    otherwise an exchange query walks up from the two endpoints instead of
+    searching the forest; a forest path is unique, so it returns the edges
+    a search would.  Nothing is held twice, so no copy needs re-checking
+    against another: each edge has one owner, so the forests are disjoint
+    by construction; link raises VerificationError on an edge that would
+    close a cycle, and cut on an edge the forest does not hold.  The
+    forests are returned as they are, the one tree representation every
+    flow here is built from; each is checked once, by a union-find pass
+    over its edges, to be a spanning tree.  Connectivity is searched only
+    when a packing comes up short, to name the reason.
 
     The loop stops once k(n-1) edges are packed: every forest is then a
     spanning tree, so each later edge has its ends in one tree of every
@@ -374,20 +407,20 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
     trees = [_RootedForest(ends, n) for _ in range(k)]
     if n <= 1:
         return trees
-    if not g.is_connected():
-        raise PackingError("graph is disconnected")
     owner = [-1] * len(ends)
     packed, full = 0, k * (n - 1)
-    for e in g.edge_ids():
+    for e, uv in enumerate(ends):
         if packed == full:
             break
-        if not g.is_loop(e) and _try_augment(owner, trees, e):
+        if uv is not None and uv[0] != uv[1] and _try_augment(owner, trees, e):
             packed += 1
     forests = [t.edges() for t in trees]
     if any(len(f) != n - 1 for f in forests):
+        if not g.is_connected():
+            raise PackingError("graph is disconnected")
         raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
     for f in forests:
-        verify_or_raise(_is_spanning_tree(g, f), "a packed forest is not a spanning tree")
+        verify_or_raise(_is_spanning_tree(ends, n, f), "a packed forest is not a spanning tree")
     return trees
 
 
@@ -557,17 +590,14 @@ def _nz3_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
 
 
 def _nz3_three_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
-    doubled = PseudoGraph(g.num_vertices)
-    copy_to_orig: Dict[int, int] = {}
-    for eid, u, v in g.edges():
-        for _ in range(2):
-            copy_to_orig[doubled.add_edge(u, v)] = eid
     # each packed forest is a spanning tree of the doubled graph, so it
-    # never holds both copies of an edge and maps onto a spanning tree of g
+    # never holds both copies of an edge and maps onto a spanning tree of g;
+    # copies 2i and 2i + 1 stand for the i-th edge in id order
+    copy_to_orig = [e for e in g.edge_ids() for _ in range(2)]
     odd = _odd_degrees(g)
     parities = [
         {copy_to_orig[c] for c in t.parity_subgraph(odd)}
-        for t in _pack_spanning_trees(doubled, 3)
+        for t in _pack_spanning_trees(g.doubled(), 3)
     ]
     values = _complement_values(g, parities)
     verify_or_raise(all(values.values()), "the three parity complements leave an edge at zero")

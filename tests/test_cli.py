@@ -20,9 +20,9 @@ from normal7.cli import (
     main,
     parse_graph_text,
 )
-from normal7.coloring_solver import SolverResult
+from normal7.coloring_solver import SolverResult, exact_chi_n
 from normal7.flows_trees import PackingError
-from normal7.graph_core import write_graph6
+from normal7.graph_core import parse_graph6, write_graph6
 from normal7.matching import MatchingError
 
 K4_G6 = "C~"
@@ -181,7 +181,7 @@ class TestExact:
     def test_the_witness_check_survives_optimize(self, tmp_path):
         script = f"""
 from normal7 import cli
-from normal7.coloring_solver import SolverResult
+from normal7.coloring_solver import SolverResult, exact_chi_n
 assert False, "asserts are on"
 cli.exact_chi_n = lambda g, k, b: SolverResult(3, None, 6, False)
 print(cli.main(["exact", {str(tmp_path / "k4.g6")!r}]))
@@ -359,13 +359,19 @@ class TestWitnessReuse:
         assert rec.get("inconclusive", False) is (exact_chi is None)
 
     def test_an_unverified_coloring_is_no_witness(self, monkeypatch):
-        monkeypatch.setattr(cli, "is_normal", lambda col: (False, {}))
+        # the record's verified field is the pipeline's own is_normal check:
+        # a coloring that fails it never reaches the solver
+        monkeypatch.setattr(normal7_pipeline, "is_normal", lambda col: (False, {}))
+        calls = []
+        monkeypatch.setattr(cli, "exact_chi_n", lambda *args: calls.append(args))
         rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=None)
-        assert rec["verified"] is False
-        # the solver finds its own k = 7 witness
-        assert (rec["exact_chi"], rec["solver_nodes"]) == (7, 33 + 124 + 151 + 157 + 155 + 857)
-        rec = census_line(DOUBLE_GADGET_G6, exact_up_to=10, budget=151)
-        assert rec["exact_chi"] is None and rec["inconclusive"] is True
+        assert rec["error"] == "PipelineVerificationError: assembled coloring is not normal"
+        assert "verified" not in rec and "exact_chi" not in rec and not calls
+        # without a witness the solver finds its own at k = 7
+        res = exact_chi_n(parse_graph6(DOUBLE_GADGET_G6), 7, None)
+        assert (res.chi, res.nodes_explored) == (7, 33 + 124 + 151 + 157 + 155 + 857)
+        res = exact_chi_n(parse_graph6(DOUBLE_GADGET_G6), 7, 151)
+        assert res.chi is None and res.timed_out
 
 
 class TestNonAsciiInput:

@@ -184,7 +184,7 @@ class TestPacking:
 
     def test_deterministic(self):
         first, again = (flows_trees._pack_spanning_trees(k5(), 2) for _ in range(2))
-        assert [t.par for t in first] == [t.par for t in again]
+        assert [(t.par, t.pedge) for t in first] == [(t.par, t.pedge) for t in again]
 
     def brute_force_packs(self, g):
         """Whether any two disjoint spanning trees exist, by trying every
@@ -366,6 +366,50 @@ class TestRootedForests:
         with pytest.raises(VerificationError, match="not in the packed forest"):
             tree.cut(2)
         assert sorted(tree.path(0, 2)) == [0, 1]
+
+
+class TestSpanningTreeCheck:
+    """The packer's closing check: n - 1 edges that close no cycle, by one
+    union-find pass over the edges."""
+
+    def check(self, g, edges):
+        return flows_trees._is_spanning_tree(flows_trees._edge_ends(g), g.num_vertices, set(edges))
+
+    def test_accepts_a_tree_of_the_doubled_graph(self):
+        # copies 2i and 2i+1 of edge i; edges 0, 1, 2 of k4 form a star
+        assert self.check(doubled(k4()), [0, 3, 4])
+
+    def test_rejects_both_copies_of_an_edge(self):
+        assert not self.check(doubled(k4()), [0, 1, 2])
+
+    def test_rejects_too_few_or_too_many_edges(self):
+        g = doubled(k4())
+        assert not self.check(g, [0, 2])
+        assert not self.check(g, [0, 2, 4, 6])
+
+    def test_rejects_a_cycle_beside_a_lone_vertex(self):
+        g = PseudoGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        assert not self.check(g, [0, 1, 2])
+        assert self.check(g, [0, 1, 3])
+
+    def test_accepts_a_tree_with_holes_in_the_id_range(self):
+        g = PseudoGraph.from_edges(4, [(0, 1), (0, 1), (1, 2), (0, 2), (2, 3), (3, 0)])
+        for e in (1, 3, 5):
+            g.remove_edge(e)
+        assert self.check(g, [0, 2, 4])
+        assert not self.check(g, [0, 2])
+
+    @given(st.integers(1, 8), st.integers(0, 16), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_networkx_on_random_edge_sets(self, n, m, seed):
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, n, m)
+        edges = rng.sample(g.edge_ids(), min(n - 1, g.num_edges))
+        t = nx.MultiGraph()
+        t.add_nodes_from(g.vertices())
+        t.add_edges_from(g.endpoints(e) for e in edges)
+        want = len(edges) == n - 1 and nx.is_tree(t)
+        assert self.check(g, edges) == want
 
 
 def three_edge_connected_cubic(seed, n):

@@ -5,8 +5,11 @@ on every census graph and on a set of seeded builds from tests/corpora.py,
 and the values of flow_edge_poor and flow_two_adjacent_rich on those builds.
 The second is the SHA-256 of what `normal7 certify --all` prints: every
 verdict, universe, count and counterexample, including the K4 flow that
-makes a vertex fully rich.  A refactor must leave both unchanged; a change
-that alters outputs on purpose records the new digest and says why.
+makes a vertex fully rich.  The third covers nz_z23_flow at the benchmark's
+sizes (seeded bridgeless cubic graphs at n = 40, 80 and 160, some joined
+through a 2-edge-cut, and C_400 x K2) and the two Z_2^2 constructions on
+doubled copies of two of them.  A refactor must leave all three unchanged;
+a change that alters outputs on purpose records the new digest and says why.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from normal7.normal7_pipeline import (
     flow_two_adjacent_rich,
     normal7_coloring,
 )
+from normal7.flows_trees import flow_three_edges_distinct, flow_two_edges_equal, nz_z23_flow
 from tests.corpora import (
     corpus_graphs,
     diamond_lobe_pair,
@@ -32,13 +36,17 @@ from tests.corpora import (
     long_ladder_graph,
     petersen,
     prism,
+    prism_ring,
     theta_graph,
     three_bridge_star,
     two_bridge_chain,
 )
+from tests.test_cut_oracle import joined_by_two_cut, pairing_cubic
+from tests.test_flows_trees import doubled
 
 GOLDEN_DIGEST = "5f541c5cc0b2075001bc71dd2d0d1193719c3120e750e46ab5ed05d135a3149f"
 CERTIFY_DIGEST = "b356133c2478079d1ef55fa51723aeae6ace76a084207a1f50091b1df2065229"
+FLOW_DIGEST = "6ce226a5dd8de1582b2f66a1265eeaafb0e6f70aa80e7566d8b06ced8a82884d"
 
 
 def relabeled(g: PseudoGraph, seed: int) -> PseudoGraph:
@@ -105,6 +113,60 @@ def output_rows():
     yield from coloring_rows(disjoint_union(star, k4(), star), color_degree13_graph)
 
 
+def bridgeless_cubic(rng: random.Random, n: int) -> PseudoGraph:
+    """A pairing-model simple cubic graph, redrawn until connected and bridgeless."""
+    while True:
+        g = pairing_cubic(rng, n)
+        if g.is_connected() and not find_bridges(g):
+            return g
+
+
+def ring_of_pieces(pieces, rng: random.Random) -> PseudoGraph:
+    """The pieces in a ring: one edge x_i y_i deleted from each piece and
+    y_i joined to x_(i+1).  Any two of the joins form a 2-edge-cut."""
+    edges, ends, offset = [], [], 0
+    for g in pieces:
+        cut = rng.choice(g.edge_ids())
+        edges += [(u + offset, v + offset) for e, u, v in g.edges() if e != cut]
+        ends.append(tuple(w + offset for w in g.endpoints(cut)))
+        offset += g.num_vertices
+    edges += [(y, ends[(i + 1) % len(ends)][0]) for i, (_, y) in enumerate(ends)]
+    return PseudoGraph.from_edges(offset, edges)
+
+
+def flow_graphs():
+    """(label, graph): at each of n = 40, 80 and 160, two random bridgeless
+    cubic graphs, two halves joined through a 2-edge-cut and a ring of four
+    pieces; then C_400 x K2."""
+    rng = random.Random(2024)
+    for n in (40, 80, 160):
+        for i in range(2):
+            yield f"random n={n} #{i}", bridgeless_cubic(rng, n)
+        halves = bridgeless_cubic(rng, n // 2), bridgeless_cubic(rng, n // 2)
+        yield f"two-cut n={n}", joined_by_two_cut(*halves, rng)[0]
+        quarters = [bridgeless_cubic(rng, n // 4) for _ in range(4)]
+        yield f"ring n={n}", ring_of_pieces(quarters, rng)
+    yield "C_400 x K2", prism_ring(400)
+
+
+def flow_rows():
+    graphs = list(flow_graphs())
+    for label, g in graphs:
+        yield f"nz_z23_flow {label} {sorted(nz_z23_flow(g).values.items())}"
+    # doubled graphs are 4-edge-connected, so any two edges may be pinned;
+    # at a vertex v the copies of its edges a, b, c are 2a, 2a+1, 2b, ...
+    for label, g in (graphs[0], graphs[6]):
+        h = doubled(g)
+        for v in (0, g.num_vertices // 2, g.num_vertices - 1):
+            a, b, c = (2 * e for e in g.incident(v))
+            for e, f in ((a, b), (a, a + 1), (b + 1, c)):
+                values = flow_two_edges_equal(h, e, f).values
+                yield f"equal {label} {e} {f} {sorted(values.items())}"
+            for e, f, gg in ((a, b, c), (a + 1, b, b), (c, a, a + 1)):
+                values = flow_three_edges_distinct(h, e, f, gg).values
+                yield f"distinct {label} {e} {f} {gg} {sorted(values.items())}"
+
+
 def test_outputs_match_the_pinned_digest():
     h = hashlib.sha256()
     for row in output_rows():
@@ -116,3 +178,10 @@ def test_certify_output_matches_the_pinned_digest(capsys):
     assert main(["certify", "--all"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGEST
+
+
+def test_flows_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for row in flow_rows():
+        h.update(row.encode() + b"\n")
+    assert h.hexdigest() == FLOW_DIGEST

@@ -88,6 +88,23 @@ class TestContainer:
         with pytest.raises(ValueError):
             PseudoGraph.from_labeled_edges(2, [(0, 0, 1), (0, 1, 0)])
 
+    @given(st.integers(1, 9), st.integers(0, 20), st.integers(0, 4), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_doubled_is_every_edge_added_twice(self, n, m, holes, seed):
+        # loops, parallel edges and holes in the id range; copies 2i, 2i+1
+        # of the i-th edge, with the incidences of two add_edge calls
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, n, m)
+        for e in rng.sample(g.edge_ids(), min(holes, g.num_edges)):
+            g.remove_edge(e)
+        want = PseudoGraph(n)
+        for _, u, v in g.edges():
+            want.add_edge(u, v)
+            want.add_edge(u, v)
+        got = g.doubled()
+        assert list(got.edges()) == list(want.edges())
+        assert [got.incident(v) for v in got.vertices()] == [want.incident(v) for v in want.vertices()]
+
     @given(st.integers(2, 9), st.integers(0, 20), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_degree_sum_is_twice_edge_count(self, n, m, seed):

@@ -76,6 +76,24 @@ FAULTS = [
         "leave an edge at zero",
     ),
     (
+        "verified_nz_flow",
+        flows_trees,
+        "verify_flow",
+        lambda flow: flows_trees.FlowCheck(True, False),
+        lambda: flows_trees.nz_z23_flow(k4()),
+        "not nowhere-zero conserving",
+    ),
+    (
+        # copies 2i and 2i+1 of edge i: each forest reads as both copies of
+        # edge 0 and one of edge 1, n - 1 edges that close a cycle
+        "spanning_tree_check",
+        flows_trees._RootedForest,
+        "edges",
+        lambda self: {0, 1, 2},
+        lambda: flows_trees.nz_z23_flow(k4()),
+        "a packed forest is not a spanning tree",
+    ),
+    (
         "perfect_matching_through",
         matching,
         "_pm_extend",
