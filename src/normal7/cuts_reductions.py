@@ -8,6 +8,13 @@ A set of edges is an edge cut exactly when its labels XOR to 0: bridges are
 the edges labelled 0, 2-edge-cuts are pairs inside a group of equal labels,
 and 3-edge-cut candidates come from a pair-XOR lookup in O(m^2).  One search
 per returned cut computes its sides.
+
+The labelling is computed once per graph state.  cycle_space_labels keeps
+one slot: the last graph it labelled, that graph's mutation counter, and the
+labels and chords.  While the same graph object reports the same counter,
+every bridge, 2-cut, 3-cut-candidate and connectivity question reads that
+entry; labelling another graph replaces it.  The result is shared, so
+callers only read it.
 """
 
 from __future__ import annotations
@@ -53,8 +60,17 @@ class ReductionTrace:
     pieces: Tuple[ReductionPiece, ReductionPiece] = field(default=None)  # type: ignore[assignment]
 
 
+# the last labelling computed: (graph, its mutation counter, labels, chords)
+_last_labelling: Optional[Tuple[PseudoGraph, int, Dict[int, int], List[int]]] = None
+
+
 def cycle_space_labels(g: PseudoGraph) -> Tuple[Dict[int, int], List[int]]:
     """Per-edge cycle-space label, plus the chords in bit order.
+
+    Memoized in one slot keyed by the graph object and its mutation counter
+    (graph_core.PseudoGraph.mutations): asking again about an unchanged
+    graph returns the same dict and list without a pass, so callers must
+    not modify them.  Labelling another graph replaces the slot.
 
     A search forest is grown from each unvisited vertex in ascending order.
     Every edge outside the forest (a chord; loops included) gets the next
@@ -67,6 +83,17 @@ def cycle_space_labels(g: PseudoGraph) -> Tuple[Dict[int, int], List[int]]:
     bridges are the edges labelled 0 and a 2-edge-cut of a connected graph
     is a pair of equal labels.  Cost: O(m) big-int XORs.
     """
+    global _last_labelling
+    last = _last_labelling
+    if last is not None and last[0] is g and last[1] == g.mutations:
+        return last[2], last[3]
+    labels, chords = _label_cycle_space(g)
+    _last_labelling = (g, g.mutations, labels, chords)
+    return labels, chords
+
+
+def _label_cycle_space(g: PseudoGraph) -> Tuple[Dict[int, int], List[int]]:
+    """The pass behind cycle_space_labels, without the memo."""
     edges = list(g.edges())
     adj: List[List[Tuple[int, int]]] = [[] for _ in g.vertices()]
     for eid, u, v in edges:
@@ -123,14 +150,20 @@ def require_bridgeless_cubic(g: PseudoGraph, who: str) -> None:
         raise ValueError(f"{who} requires a bridgeless graph")
 
 
+def component_count(g: PseudoGraph) -> int:
+    """The number of connected components of g, read off its cycle-space
+    labelling: a search forest of c trees has n - c edges, so the m - n + c
+    chords count the components without a second search."""
+    labels, chords = cycle_space_labels(g)
+    return len(chords) - len(labels) + g.num_vertices
+
+
 def _connected_labels(g: PseudoGraph) -> Dict[int, int]:
     """The labels of cycle_space_labels, or ValueError when g is
-    disconnected.  A search forest of c trees has n - c edges, so the
-    m - n + c chords count the components without a second search."""
-    labels, chords = cycle_space_labels(g)
-    if len(chords) - g.num_edges + g.num_vertices > 1:
+    disconnected."""
+    if component_count(g) > 1:
         raise ValueError("graph must be connected")
-    return labels
+    return cycle_space_labels(g)[0]
 
 
 def _cut_from_sides(g: PseudoGraph, edges: Iterable[int], comps: List[List[int]]) -> EdgeCut:
@@ -449,7 +482,7 @@ def ladder_containing(g: PseudoGraph, cut) -> Ladder:
     asserted at every step and the result is validated before return, raising
     VerificationError if it is not a ladder.
     """
-    if not (g.is_cubic() and g.is_simple() and g.is_connected()):
+    if not (g.is_cubic() and g.is_simple() and component_count(g) <= 1):
         raise ValueError("ladders are defined here for connected simple cubic graphs")
     edges, side_a, side_b = _normalize_cut(g, cut)
     if len(edges) != 2:

@@ -4,6 +4,13 @@ Vertices are dense integers in [0, n).  Every edge carries a stable integer
 id that survives edge insertions and removals; ids are never reused, so a
 removed edge leaves a hole in the id sequence.  induced_subgraph (keep a
 vertex set) and remove_vertices build a compacted copy with label maps.
+
+A graph changes only through add_vertex, add_edge and remove_edge, and each
+of them bumps the graph's mutation counter (``mutations``), so a result
+computed from a graph stays valid while the same graph object reports the
+same counter.  The constructors here write the lists of a graph nobody else
+holds yet; no other module touches ``_n``, ``_edges``, ``_inc`` or the
+counter (tests/test_graph_mutators.py scans for it).
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ class PseudoGraph:
     counts it twice.
     """
 
-    __slots__ = ("_n", "_edges", "_inc")
+    __slots__ = ("_n", "_edges", "_inc", "_mutations")
 
     def __init__(self, n: int = 0):
         if n < 0:
@@ -44,6 +51,7 @@ class PseudoGraph:
         self._n = n
         self._edges: List[Optional[Tuple[int, int]]] = []
         self._inc: List[List[int]] = [[] for _ in range(n)]
+        self._mutations = 0
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "PseudoGraph":
@@ -76,13 +84,14 @@ class PseudoGraph:
         if not 0 <= v < self._n:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
 
-    def _check_edge(self, eid: int) -> None:
-        if not (0 <= eid < len(self._edges)) or self._edges[eid] is None:
-            raise ValueError(f"no edge with id {eid}")
-
     @property
     def num_vertices(self) -> int:
         return self._n
+
+    @property
+    def mutations(self) -> int:
+        """How many add_vertex, add_edge and remove_edge calls changed g."""
+        return self._mutations
 
     @property
     def num_edges(self) -> int:
@@ -101,8 +110,12 @@ class PseudoGraph:
                 yield (i, e[0], e[1])
 
     def endpoints(self, eid: int) -> Tuple[int, int]:
-        self._check_edge(eid)
-        return self._edges[eid]  # type: ignore[return-value]
+        edges = self._edges
+        if 0 <= eid < len(edges):
+            e = edges[eid]
+            if e is not None:
+                return e
+        raise ValueError(f"no edge with id {eid}")
 
     def other_endpoint(self, eid: int, v: int) -> int:
         u, w = self.endpoints(eid)
@@ -117,6 +130,7 @@ class PseudoGraph:
         return u == v
 
     def add_vertex(self) -> int:
+        self._mutations += 1
         self._n += 1
         self._inc.append([])
         return self._n - 1
@@ -124,6 +138,7 @@ class PseudoGraph:
     def add_edge(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
+        self._mutations += 1
         eid = len(self._edges)
         self._edges.append((u, v))
         self._inc[u].append(eid)
@@ -132,6 +147,7 @@ class PseudoGraph:
 
     def remove_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
+        self._mutations += 1
         self._edges[eid] = None
         self._inc[u].remove(eid)
         if u != v:
@@ -141,11 +157,13 @@ class PseudoGraph:
 
     def incident(self, v: int) -> List[int]:
         """Edge ids at v in insertion order; a loop appears twice."""
-        self._check_vertex(v)
+        if not 0 <= v < self._n:
+            raise ValueError(f"vertex {v} out of range [0, {self._n})")
         return list(self._inc[v])
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        if not 0 <= v < self._n:
+            raise ValueError(f"vertex {v} out of range [0, {self._n})")
         return len(self._inc[v])
 
     def neighbors(self, v: int) -> List[int]:

@@ -49,6 +49,7 @@ from normal7.cuts_reductions import (
     EdgeCut,
     Ladder,
     ReductionPiece,
+    component_count,
     find_2_edge_cuts,
     find_bridges,
     find_nontrivial_3_edge_cuts,
@@ -401,7 +402,7 @@ def flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     if not shared:
         raise ValueError("the two edges must share a vertex")
     require_bridgeless_cubic(g, "flow_two_adjacent_rich")
-    if not g.is_connected():
+    if component_count(g) > 1:
         raise ValueError("flow_two_adjacent_rich requires a connected graph")
     if g.num_vertices < 4:
         raise ValueError("graph too small: no flow makes an edge rich here")
@@ -508,7 +509,7 @@ class PendantBlockInput:
     @classmethod
     def from_edge(cls, g: PseudoGraph, e: int) -> "PendantBlockInput":
         require_bridgeless_cubic(g, "PendantBlockInput")
-        if not g.is_connected():
+        if component_count(g) > 1:
             raise ValueError("PendantBlockInput requires a connected graph")
         u, w = g.endpoints(e)
         if u == w:
@@ -1013,7 +1014,7 @@ def color_degree13_graph(
         if bu not in leaves and bv not in leaves:
             raise ValueError("every bridge must be a pendant edge")
 
-    if not g.is_connected():
+    if component_count(g) > 1:
         colors = solve_per_component(
             g, lambda sub, _: color_degree13_graph(sub, steps).colors
         )

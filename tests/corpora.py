@@ -7,6 +7,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
+from normal7.certify import gadget_block_edges
 from normal7.graph_core import PseudoGraph, parse_graph6
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -41,6 +42,25 @@ def prism_ring(length: int) -> PseudoGraph:
     edges = ring + [(u + length, v + length) for u, v in ring]
     edges += [(i, i + length) for i in range(length)]
     return PseudoGraph.from_edges(2 * length, edges)
+
+
+def gadget_tree(hubs: int, seed: int) -> PseudoGraph:
+    """A seeded random tree of degree-3 hubs whose free slots are bridges to
+    the degree-2 vertex of a near-K4 block: hubs + 2 blocks, n = 6 hubs + 10."""
+    rng = random.Random(seed)
+    deg = [0] * hubs
+    edges = []
+    for h in range(1, hubs):
+        p = rng.choice([p for p in range(h) if deg[p] < 3])
+        edges.append((p, h))
+        deg[p] += 1
+        deg[h] += 1
+    n = hubs
+    for h in range(hubs):
+        for _ in range(3 - deg[h]):
+            edges += gadget_block_edges(n) + [(h, n)]
+            n += 5
+    return PseudoGraph.from_edges(n, edges)
 
 
 def disjoint_union(*graphs: PseudoGraph) -> PseudoGraph:

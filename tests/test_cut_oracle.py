@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normal7 import cuts_reductions
 from normal7.cuts_reductions import (
+    component_count,
     cycle_space_labels,
     find_2_edge_cuts,
     find_bridges,
@@ -228,3 +230,78 @@ class TestPlantedCuts:
         cuts = find_2_edge_cuts(g)
         assert sided(cuts) == brute_2_cuts(g)
         assert (joins, side1) in {(c.pair, c.side_a) for c in cuts}
+
+
+# -- the one-slot labelling memo -------------------------------------------------
+
+
+def answers(g: PseudoGraph, query: str):
+    """What one cut question says about g, a ValueError's text included."""
+    try:
+        if query == "labels":
+            return cycle_space_labels(g)
+        if query == "components":
+            return component_count(g)
+        if query == "bridges":
+            return find_bridges(g)
+        return sided(find_2_edge_cuts(g))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLabellingMemo:
+    """cycle_space_labels answers from its slot only while the graph object
+    and its mutation counter are the ones it labelled."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_answers_follow_every_mutation(self, seed):
+        rng = random.Random(seed)
+        g = random_pseudograph(rng, rng.randrange(1, 8), rng.randrange(0, 12))
+        queries = ("labels", "components", "bridges", "2-cuts")
+        for _ in range(60):
+            op = rng.randrange(4)
+            if op == 0:
+                g.add_vertex()
+            elif op == 1 or not g.edge_ids():
+                u = rng.randrange(g.num_vertices)
+                v = u if rng.random() < 0.2 else rng.randrange(g.num_vertices)
+                g.add_edge(u, v)
+            elif op == 2:
+                g.add_edge(*g.endpoints(rng.choice(g.edge_ids())))  # a parallel edge
+            else:
+                g.remove_edge(rng.choice(g.edge_ids()))
+            # g first, while the slot may still hold its previous state; then
+            # the rebuilt graph, which takes the slot; then g twice more
+            asked = rng.sample(queries, rng.randrange(1, 5))
+            got = [answers(g, q) for q in asked]
+            fresh = PseudoGraph.from_labeled_edges(g.num_vertices, list(g.edges()))
+            assert got == [answers(fresh, q) for q in asked]
+            assert [answers(g, q) for q in asked] == got
+            assert [answers(g, q) for q in asked] == got
+        assert component_count(g) == len(g.connected_components())
+
+    def test_an_unchanged_graph_is_labelled_once(self, monkeypatch):
+        computed = []
+        label = cuts_reductions._label_cycle_space
+
+        def counted(g):
+            computed.append(g)
+            return label(g)
+
+        monkeypatch.setattr(cuts_reductions, "_label_cycle_space", counted)
+        a, b = pairing_cubic(random.Random(1), 12), pairing_cubic(random.Random(2), 12)
+        first = cycle_space_labels(a)
+        find_bridges(a)
+        component_count(a)
+        assert cycle_space_labels(a)[0] is first[0]
+        assert computed == [a]
+        # labelling b replaces a's entry: the slot holds one graph
+        cycle_space_labels(b)
+        cycle_space_labels(a)
+        assert computed == [a, b, a]
+        # an equal copy is another object, so it is labelled on its own
+        cycle_space_labels(a.copy())
+        assert len(computed) == 4
+        a.add_vertex()
+        assert component_count(a) == len(a.connected_components())
+        assert len(computed) == 5

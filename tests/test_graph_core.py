@@ -71,6 +71,35 @@ class TestContainer:
         with pytest.raises(ValueError):
             g.add_edge(0, 3)
 
+    def test_accessor_errors(self):
+        # the messages the range checks gave before endpoints, incident and
+        # degree inlined them
+        g = PseudoGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        g.remove_edge(1)
+        for eid in (-1, 1, 3, 10):
+            with pytest.raises(ValueError, match=rf"^no edge with id {eid}$"):
+                g.endpoints(eid)
+        for v in (-1, 3, 7):
+            for accessor in (g.incident, g.degree):
+                with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 3\)$"):
+                    accessor(v)
+
+    def test_mutators_bump_the_counter(self):
+        g = PseudoGraph(2)
+        assert g.mutations == 0
+        e = g.add_edge(0, 1)
+        g.add_vertex()
+        g.add_edge(2, 2)
+        g.remove_edge(e)
+        assert g.mutations == 4
+        # a rejected call changes nothing, and neither does a read or a copy
+        for bad in (lambda: g.add_edge(0, 3), lambda: g.remove_edge(e)):
+            with pytest.raises(ValueError):
+                bad()
+        g.copy()
+        g.incident(2)
+        assert g.mutations == 4
+
     def test_connectivity_and_components(self):
         g = PseudoGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         assert not g.is_connected()

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from normal7 import normal7_pipeline
+from normal7 import cuts_reductions, normal7_pipeline
 from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
@@ -29,6 +29,7 @@ from tests.corpora import (
     diamond_lobe_pair,
     doubled_edge_cubic,
     fig6_graph,
+    gadget_tree,
     k4,
     k33,
     long_ladder_graph,
@@ -461,6 +462,43 @@ class TestNormal7Coloring:
             ok, _ = is_normal(col)
             assert ok
             assert col.k == 7
+
+
+class TestLabellingWork:
+    """How many cycle-space labellings a coloring computes, not how many cut
+    questions it asks: each graph state is labelled once, and every bridge,
+    2-cut, 3-cut and connectivity question on it reads that labelling."""
+
+    def labellings(self, monkeypatch, g):
+        """The vertex count of each graph labelled while g is colored."""
+        computed = []
+        label = cuts_reductions._label_cycle_space
+
+        def counted(h):
+            computed.append(h.num_vertices)
+            return label(h)
+
+        monkeypatch.setattr(cuts_reductions, "_label_cycle_space", counted)
+        assert is_normal(normal7_coloring(g))[0]
+        monkeypatch.undo()
+        return computed
+
+    @pytest.mark.parametrize("build", [petersen, lambda: prism_ring(200)], ids=["petersen", "C_200xK2"])
+    def test_a_bridgeless_graph_is_labelled_once(self, monkeypatch, build):
+        # the pipeline's bridge check, nz_z23_flow's and the 2-cut search
+        # were three passes
+        g = build()
+        assert self.labellings(monkeypatch, g) == [g.num_vertices]
+
+    @pytest.mark.parametrize("hubs, seed", [(1, 0), (5, 1), (40, 2)])
+    def test_a_gadget_tree_is_labelled_twice_per_block(self, monkeypatch, hubs, seed):
+        # the whole tree once (its bridges, then the glue forest's: two
+        # passes); per block the piece with its pendant edge, then the K4
+        # left when the pendant is suppressed, whose bridge and cut checks
+        # (block input, 2-cuts, the rich pair's three, the matching's) were
+        # six passes
+        g = gadget_tree(hubs, seed)
+        assert self.labellings(monkeypatch, g) == [g.num_vertices] + [6, 4] * (hubs + 2)
 
 
 class TestGlueForest:
