@@ -18,7 +18,8 @@ three layers, each exposed on its own:
   * color_degree13_graph handles graphs whose degrees are all 1 or 3 and
     whose bridges are all pendant, by merging pendant edges two at a time;
     normal7_coloring splits an arbitrary simple cubic graph at its bridges,
-    colors each piece, and glues along the bridges with palette renamings.
+    colors each isomorphism class of piece once, and glues along the
+    bridges with palette renamings.
 
 A disconnected input is solved one component at a time through
 graph_core.solve_per_component.  Every operation re-verifies its output
@@ -36,7 +37,7 @@ import enum
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from normal7.coloring_solver import (
     EdgeColoring,
@@ -1195,6 +1196,104 @@ def build_glue_forest(g: PseudoGraph) -> GlueForest:
     return GlueForest(bridges, tuple(components), comp_of, tuple(roots))
 
 
+# a vertex count and sorted vertex pairs
+PieceKey = Tuple[int, Tuple[Tuple[int, int], ...]]
+
+
+class _PieceProfile(NamedTuple):
+    invariant: PieceKey
+    adj: List[List[int]]
+    depth: List[int]
+
+
+def _piece_profile(g: PseudoGraph) -> _PieceProfile:
+    """An isomorphism invariant of g, simple with every degree at most 3,
+    with the adjacency lists and depths it was read from.
+
+    A vertex's depth is its distance to the nearest leaf, counted from 1
+    (n + 1 where no leaf reaches).  The invariant is the vertex count and
+    the sorted depth pairs of the edges: one pass, against the refinement
+    rounds of _canonical_edges, so that a piece no other piece shares it
+    with is never keyed.
+    """
+    n = g.num_vertices
+    rows = list(g.edges())
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for _, u, v in rows:
+        adj[u].append(v)
+        adj[v].append(u)
+    depth = [n + 1] * n
+    frontier = [v for v in range(n) if len(adj[v]) == 1]
+    d = 0
+    while frontier:
+        d += 1
+        for v in frontier:
+            depth[v] = d
+        frontier = list({w for v in frontier for w in adj[v] if depth[w] > n})
+    pairs = sorted(
+        (depth[u], depth[v]) if depth[u] < depth[v] else (depth[v], depth[u]) for _, u, v in rows
+    )
+    return _PieceProfile((n, tuple(pairs)), adj, depth)
+
+
+def _canonical_edges(g: PseudoGraph, profile: _PieceProfile) -> Tuple[PieceKey, List[int]]:
+    """A relabelling of g, whose profile is given: (key, g's edge ids in key
+    order).
+
+    The key is the vertex count and the sorted end pairs of the edges under
+    a breadth-first numbering.  Vertices compare by class, then by label;
+    the search starts at the least vertex and takes each vertex's new
+    neighbours in ascending order.  The classes are colour refinement to
+    stability from the depths: a vertex's next class is its class with the
+    multiset of its neighbours' classes (as their sum, sum of squares and
+    product, which determine a multiset of three), numbered in sorted order,
+    so an isomorphism keeps every class.  Equal keys of two graphs make the
+    composed numberings an isomorphism, the i-th edge of one onto the i-th
+    of the other, however the label ties fell; a tie between vertices that
+    no automorphism swaps only gives isomorphic graphs different keys.
+    """
+    n = g.num_vertices
+    adj = profile.adj
+    cls = profile.depth
+    count = len(set(cls))
+    # three neighbour columns; a missing neighbour reads the class 0 at n
+    cols = list(zip(*(a + [n] * (3 - len(a)) for a in adj)))
+    while count < n:
+        padded = cls + [0]
+        x, y, z = ([padded[w] for w in col] for col in cols)
+        sig = [
+            (c, p + q + r, p * p + q * q + r * r, p * q * r)
+            for c, p, q, r in zip(cls, x, y, z)
+        ]
+        number = {key: i for i, key in enumerate(sorted(set(sig)), 1)}
+        if len(number) == count:
+            break
+        count = len(number)
+        cls = [number[key] for key in sig]
+    ranked = sorted(range(n), key=lambda v: (cls[v], v))
+    pos = [0] * n
+    for i, v in enumerate(ranked):
+        pos[v] = i
+    new = [-1] * n
+    order: List[int] = []
+    for s in ranked:
+        if new[s] >= 0:
+            continue
+        head = len(order)
+        new[s] = head
+        order.append(s)
+        while head < len(order):
+            for w in sorted(adj[order[head]], key=pos.__getitem__):
+                if new[w] < 0:
+                    new[w] = len(order)
+                    order.append(w)
+            head += 1
+    pairs = sorted(
+        ((new[u], new[v]) if new[u] < new[v] else (new[v], new[u]), e) for e, u, v in g.edges()
+    )
+    return (n, tuple(p for p, _ in pairs)), [e for _, e in pairs]
+
+
 def normal7_coloring(
     g: PseudoGraph,
     trace: Optional[List[CertificateStep]] = None,
@@ -1206,6 +1305,14 @@ def normal7_coloring(
     isolated 3-bridge vertices; each piece gets a pendant edge per boundary
     vertex, is colored by color_degree13_graph, and the pieces are glued
     back with palette renamings that make every bridge poor.
+
+    Isomorphic pieces are colored once per call.  A piece whose
+    _piece_profile invariant another piece shares is keyed by
+    _canonical_edges; a later piece with the key of an earlier one takes
+    that representative's colors edge by edge, and its steps in the trace
+    are copies of the representative's: the same tags, with fingerprints of
+    the representative's graphs.  The whole-graph check at the end covers
+    the copied colors as it covers the rest.
     """
     steps: List[CertificateStep] = trace if trace is not None else []
     if not g.is_cubic():
@@ -1216,7 +1323,6 @@ def normal7_coloring(
         return _flow_coloring(g, steps)
 
     forest = build_glue_forest(g)
-    banned = set(forest.bridges)
 
     # color each non-singleton piece with a pendant edge per boundary vertex
     piece_colors: Dict[int, Dict[int, int]] = {}
@@ -1224,6 +1330,11 @@ def normal7_coloring(
     piece_vmap: Dict[int, Dict[int, int]] = {}
     piece_pendant: Dict[int, Dict[int, int]] = {}
     piece_graph: Dict[int, PseudoGraph] = {}
+    # invariant -> the first piece with it (index, profile, steps) until a
+    # second piece shares it and both are keyed; key -> the representative's
+    # colors in key order and its steps
+    first_with: Dict[PieceKey, Optional[Tuple[int, _PieceProfile, List[CertificateStep]]]] = {}
+    colored: Dict[PieceKey, Tuple[List[int], List[CertificateStep]]] = {}
     for ci, verts in enumerate(forest.components):
         if len(verts) == 1:
             continue
@@ -1234,12 +1345,31 @@ def normal7_coloring(
                 sub, _, pe = attach_pendant(sub, v)
                 pend[v] = pe
         assert all(sub.degree(v) in (1, 3) for v in sub.vertices())
-        rec = color_degree13_graph(sub, steps)
-        piece_colors[ci] = dict(rec.colors)
         piece_emap[ci] = emap
         piece_vmap[ci] = vmap
         piece_pendant[ci] = pend
         piece_graph[ci] = sub
+        profile = _piece_profile(sub)
+        first = len(steps)
+        if profile.invariant not in first_with:
+            piece_colors[ci] = dict(color_degree13_graph(sub, steps).colors)
+            first_with[profile.invariant] = ci, profile, steps[first:]
+            continue
+        held = first_with[profile.invariant]
+        if held is not None:  # another piece shares it: key the first one
+            cj, cj_profile, cj_steps = held
+            key, eids = _canonical_edges(piece_graph[cj], cj_profile)
+            colored[key] = [piece_colors[cj][e] for e in eids], cj_steps
+            first_with[profile.invariant] = None
+        key, eids = _canonical_edges(sub, profile)
+        if key in colored:
+            rep_colors, rep_steps = colored[key]
+            steps.extend(rep_steps)
+        else:
+            own = color_degree13_graph(sub, steps).colors
+            rep_colors = [own[e] for e in eids]
+            colored[key] = rep_colors, steps[first:]
+        piece_colors[ci] = dict(zip(eids, rep_colors))
 
     def slot_color(ci: int, v: int) -> int:
         loc = piece_vmap[ci][v]

@@ -2,7 +2,9 @@
 degree-1/3 recursion, bridge glue, and the replay certificates."""
 
 import hashlib
+import random
 
+import networkx as nx
 import pytest
 
 from normal7 import cuts_reductions, normal7_pipeline
@@ -10,7 +12,13 @@ from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 from normal7.flows_trees import flow_edge_status, verify_flow
-from normal7.graph_core import PseudoGraph, VerificationError, attach_pendant, subdivide_edge
+from normal7.graph_core import (
+    PseudoGraph,
+    VerificationError,
+    attach_pendant,
+    induced_subgraph,
+    subdivide_edge,
+)
 from normal7.normal7_pipeline import (
     CaseTag,
     CertificateStep,
@@ -40,6 +48,8 @@ from tests.corpora import (
     three_bridge_star,
     two_bridge_chain,
 )
+from tests.test_golden_outputs import relabeled
+from tools.verify_sweep import piece_copies
 
 
 def adjacent_pairs(g: PseudoGraph):
@@ -491,14 +501,151 @@ class TestLabellingWork:
         assert self.labellings(monkeypatch, g) == [g.num_vertices]
 
     @pytest.mark.parametrize("hubs, seed", [(1, 0), (5, 1), (40, 2)])
-    def test_a_gadget_tree_is_labelled_twice_per_block(self, monkeypatch, hubs, seed):
+    def test_a_gadget_tree_is_labelled_twice_per_block_class(self, monkeypatch, hubs, seed):
         # the whole tree once (its bridges, then the glue forest's: two
-        # passes); per block the piece with its pendant edge, then the K4
-        # left when the pendant is suppressed, whose bridge and cut checks
-        # (block input, 2-cuts, the rich pair's three, the matching's) were
-        # six passes
+        # passes); then, for the one class of near-K4 blocks, the piece with
+        # its pendant edge and the K4 left when the pendant is suppressed,
+        # whose bridge and cut checks (block input, 2-cuts, the rich pair's
+        # three, the matching's) were six passes.  Every later block copies
+        # the first one's coloring and is not labelled (was [6, 4] per block)
         g = gadget_tree(hubs, seed)
-        assert self.labellings(monkeypatch, g) == [g.num_vertices] + [6, 4] * (hubs + 2)
+        assert self.labellings(monkeypatch, g) == [g.num_vertices, 6, 4]
+
+
+def pieces_of(g: PseudoGraph):
+    """The pieces normal7_coloring colors: each bridgeless piece of g with a
+    pendant edge at every boundary vertex."""
+    forest = build_glue_forest(g)
+    for verts in forest.components:
+        if len(verts) > 1:
+            sub = induced_subgraph(g, verts)[0]
+            for v in sorted(sub.vertices()):
+                if sub.degree(v) == 2:
+                    sub = attach_pendant(sub, v)[0]
+            yield sub
+
+
+def as_networkx(g: PseudoGraph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices())
+    h.add_edges_from((u, v) for _, u, v in g.edges())
+    return h
+
+
+def vertex_map_of(a: PseudoGraph, b: PseudoGraph, edge_map: dict) -> dict:
+    """The vertex bijection a -> b under which edge_map sends every edge of a
+    onto the edge of b between the images of its ends; fails if there is
+    none.  A vertex of degree 2 or more goes to the one end its edges'
+    images share, a leaf to the end of its edge's image left free."""
+    vmap = {}
+    for v in a.vertices():
+        if a.degree(v) > 1:
+            (vmap[v],) = set.intersection(*(set(b.endpoints(edge_map[e])) for e in a.incident(v)))
+    for v in a.vertices():
+        if a.degree(v) == 1:
+            (e,) = a.incident(v)
+            (vmap[v],) = set(b.endpoints(edge_map[e])) - {vmap[a.other_endpoint(e, v)]}
+    assert sorted(vmap.values()) == list(b.vertices())
+    for e, u, v in a.edges():
+        assert set(b.endpoints(edge_map[e])) == {vmap[u], vmap[v]}
+    return vmap
+
+
+def canonical_edges(g: PseudoGraph):
+    return normal7_pipeline._canonical_edges(g, normal7_pipeline._piece_profile(g))
+
+
+def piece_copy_tree(copies: int, seed: int) -> PseudoGraph:
+    rng = random.Random(seed)
+    n, edges = piece_copies(copies, rng)
+    return PseudoGraph.from_edges(n, edges)
+
+
+class TestPieceMemo:
+    """normal7_coloring colors each isomorphism class of piece once per call:
+    a later piece whose _canonical_edges key equals an earlier one's takes
+    its colors through the two relabellings, edge i of the key onto edge i."""
+
+    def assert_equal_keys_are_isomorphisms(self, pieces):
+        first = {}
+        for sub in pieces:
+            key, eids = canonical_edges(sub)
+            assert sorted(eids) == sub.edge_ids()
+            if key not in first:
+                first[key] = (sub, eids)
+                continue
+            rep, rep_eids = first[key]
+            assert nx.is_isomorphic(as_networkx(sub), as_networkx(rep))
+            profile = normal7_pipeline._piece_profile
+            assert profile(sub).invariant == profile(rep).invariant
+            vertex_map_of(sub, rep, dict(zip(eids, rep_eids)))
+        return first
+
+    def test_equal_keys_are_isomorphisms_on_census_pieces(self):
+        pieces = [p for g in cubic_census_upto(14) if find_bridges(g) for p in pieces_of(g)]
+        keys = self.assert_equal_keys_are_isomorphisms(pieces)
+        assert len(keys) < len(pieces)  # some keys are shared
+
+    @pytest.mark.parametrize("copies, seed", [(2, 0), (6, 1), (12, 2), (12, 3)])
+    def test_equal_keys_are_isomorphisms_on_piece_trees(self, copies, seed):
+        # the copies are the same labelled piece: relabel each on its own
+        pieces = [relabeled(p, seed + i) for i, p in enumerate(pieces_of(piece_copy_tree(copies, seed)))]
+        keys = self.assert_equal_keys_are_isomorphisms(pieces)
+        # the relabelled copies share a key, and so do the near-K4 blocks
+        assert len(keys) == 2
+
+    def test_a_near_k4_piece_has_one_key_under_relabelling(self):
+        piece = next(pieces_of(gadget_tree(1, 0)))
+        keys = {canonical_edges(relabeled(piece, seed))[0] for seed in range(60)}
+        assert len(keys) == 1
+
+    def colored_sizes(self, monkeypatch, g, steps):
+        """The vertex counts of the graphs color_degree13_graph colors, its
+        recursion included, while normal7_coloring colors g into steps."""
+        calls = []
+        color = normal7_pipeline.color_degree13_graph
+
+        def counted(sub, trace=None):
+            calls.append(sub.num_vertices)
+            return color(sub, trace)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(normal7_pipeline, "color_degree13_graph", counted)
+            assert is_normal(normal7_coloring(g, steps))[0]
+        return calls
+
+    @pytest.mark.parametrize(
+        "build", [lambda: gadget_tree(200, 4), three_bridge_star], ids=["gadget_tree_200", "three_bridge_star"]
+    )
+    def test_one_piece_is_colored_per_call(self, monkeypatch, build):
+        g = build()
+        steps = []
+        assert self.colored_sizes(monkeypatch, g, steps) == [6]
+        # every block still has its own steps in the trace
+        pieces = len(list(pieces_of(g)))
+        tags = [s.tag for s in steps]
+        assert tags.count(CaseTag.ManyPendant_t1) == pieces
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_copies_of_a_larger_piece_are_colored_once(self, monkeypatch, seed):
+        # piece_copies draws its piece first, so both trees are made of
+        # copies of one 19-vertex piece with three pendants
+        two, twelve = (
+            self.colored_sizes(monkeypatch, relabeled(piece_copy_tree(copies, seed), seed), [])
+            for copies in (2, 12)
+        )
+        assert 22 in two
+        assert sorted(twelve) == sorted(two)
+
+    def test_a_gadget_tree_with_12010_vertices(self):
+        hubs = 2000
+        g = gadget_tree(hubs, 5)
+        assert g.num_vertices == 12010
+        steps = []
+        assert is_normal(normal7_coloring(g, steps))[0]
+        tags = [s.tag for s in steps]
+        assert tags.count(CaseTag.ManyPendant_t1) == hubs + 2
+        assert tags.count(CaseTag.ThreeEC_Case1) + tags.count(CaseTag.ThreeEC_Case2) == hubs + 2
 
 
 class TestGlueForest:

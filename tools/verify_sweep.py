@@ -3,13 +3,18 @@ normal7_coloring and check every coloring with is_normal.
 
 The graphs come from the benchmark's generator families in
 perfbench/generators.py (random bridgeless cubic graphs, gadget trees, piece
-trees, ladder chains and star-product chains), each built as close to an n
-drawn log-uniformly from 100 to 2000 as its family allows.  Graph i is drawn from its own seeded stream, so any line of the
-output can be reproduced alone.  Star chains cost far more to draw than to
-color (each 10-vertex piece is vetted for cyclic 4-edge-connectivity by
-brute force), so they get one slot in 25.  Cyclically 4-edge-connected
-graphs with pendant blocks are not swept: their perfect matchings still
-come from a backtracking search that does not finish at n >= 160.
+trees, ladder chains and star-product chains) and from piece_copies below
+(trees of copies of one random 16-vertex piece, the same three edges of
+each subdivided for bridges, with near-K4 blocks at the free ends:
+normal7_coloring colors one copy and carries its colors to the others).
+Each graph is built as close to an n drawn log-uniformly from 100 to 2000
+as its family allows.  Graph i is drawn from its own seeded stream, so any
+line of the output can be reproduced alone.  Star chains cost far more to
+draw than to color (each 10-vertex piece is vetted for cyclic
+4-edge-connectivity by brute force), so they get one slot in 31.
+Cyclically 4-edge-connected graphs with pendant blocks are not swept: their
+perfect matchings still come from a backtracking search that does not
+finish at n >= 160.
 
 Run from the repository root (not part of the test suite; 10,000 graphs take
 about 16 minutes on one core):
@@ -50,13 +55,40 @@ def _edges(built: Tuple[int, List[gen.Edge]], rng: random.Random) -> PseudoGraph
     return gen.relabeled(n, edges, rng)
 
 
-# family -> (slots in a cycle of 25, graph of about n vertices)
+# K4; a bridge to a vertex subdividing its edge 0 hangs a near-K4 block
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def piece_copies(copies: int, rng: random.Random) -> Tuple[int, List[gen.Edge]]:
+    """A random tree of copies of one random bridgeless cubic piece on 16
+    vertices, the same three of its edges subdivided in every copy.  Copy
+    c > 0 is bridged to an earlier copy with such an edge left; each edge
+    left over is bridged to a near-K4 block.  The bridgeless pieces are the
+    copies, all isomorphic, and copies + 2 near-K4 blocks; n = 24 copies +
+    10.  The copies share their labels until relabeled."""
+    piece = gen.pairing_cubic(16, rng)
+    sites = rng.sample(range(len(piece)), 3)
+    free = [list(sites) for _ in range(copies)]
+    links = []
+    for c in range(1, copies):
+        p = rng.choice([p for p in range(c) if free[p]])
+        links.append((c, free[c].pop(), p, free[p].pop()))
+    parts = [piece] * copies
+    for c in range(copies):
+        for e in free[c]:
+            links.append((c, e, len(parts), 0))
+            parts.append(K4)
+    return gen._join_by_bridges(parts, [16] * copies + [4] * (len(parts) - copies), links)
+
+
+# family -> (slots in a cycle of 31, graph of about n vertices)
 FAMILIES: Dict[str, Tuple[int, Callable[[int, random.Random], PseudoGraph]]] = {
     "bridgeless": (6, lambda n, rng: _edges((n, gen.pairing_cubic(n, rng)), rng)),
     "gadget_tree": (6, lambda n, rng: _edges(gen.gadget_tree((n - 10) // 6, rng), rng)),
     "piece_tree": (6, lambda n, rng: _edges(gen.piece_tree(n // 18, 16, rng), rng)),
     "ladder_chain": (6, lambda n, rng: _edges(gen.ladder_chain(n // 15, rng), rng)),
     "star_chain": (1, lambda n, rng: gen.star_chain((n - 2) // 8, 10, rng).graph),
+    "piece_copies": (6, lambda n, rng: _edges(piece_copies(max(1, (n - 10) // 24), rng), rng)),
 }
 SCHEDULE = [name for name, (slots, _) in FAMILIES.items() for _ in range(slots)]
 
