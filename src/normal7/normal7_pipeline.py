@@ -136,7 +136,8 @@ class PipelineVerificationError(VerificationError):
 def _fingerprint_prefix(g: PseudoGraph) -> hashlib._Hash:
     """SHA-256 state over g's vertex count and sorted labeled edge list; a
     fingerprint copies it and adds the marks."""
-    rows = sorted((min(u, v), max(u, v), eid) for eid, u, v in g.edges())
+    rows = [(u, v, eid) if u < v else (v, u, eid) for eid, u, v in g.edges()]
+    rows.sort()
     return hashlib.sha256("{}|{}|".format(g.num_vertices, rows).encode())
 
 
@@ -195,8 +196,7 @@ def _record(
 
 def _others_at(g: PseudoGraph, v: int, exclude: int) -> List[int]:
     """Incident edges at v except one, ascending."""
-    out = [d for d in g.incident(v) if d != exclude]
-    return sorted(out)
+    return sorted(d for d in g.incident(v) if d != exclude)
 
 
 def _far_endpoint(g: PseudoGraph, eid: int, near: int) -> int:
@@ -1165,35 +1165,46 @@ class GlueForest:
 
     components lists the vertex sets of the bridgeless pieces (singletons
     are vertices all of whose edges are bridges); comp_of maps each vertex
-    to its piece; roots holds one piece index per connected component of g,
-    the piece containing its smallest vertex."""
+    to its piece, bridges_at each piece to its bridges; roots holds one piece
+    per connected component of g, the piece containing its smallest vertex."""
 
     bridges: Tuple[int, ...]
     components: Tuple[Tuple[int, ...], ...]
     comp_of: Dict[int, int]
     roots: Tuple[int, ...]
+    bridges_at: Tuple[Tuple[int, ...], ...]
 
 
 def build_glue_forest(g: PseudoGraph) -> GlueForest:
+    """One component search that crosses no bridge finds the pieces; the
+    bridge forest over them is read off the bridge ends."""
     bridges = tuple(find_bridges(g))
-    banned = set(bridges)
-    components = [tuple(c) for c in g.connected_components(skip=banned)]
+    components = tuple(tuple(c) for c in g.connected_components(skip=bridges))
     comp_of = {v: idx for idx, comp in enumerate(components) for v in comp}
+    bridges_at: List[List[int]] = [[] for _ in components]
+    on_bridges: Dict[int, int] = {}
+    for b in bridges:
+        for v in g.endpoints(b):
+            bridges_at[comp_of[v]].append(b)
+            on_bridges[v] = on_bridges.get(v, 0) + 1
     # a vertex of a cubic graph lies on 0, 1, or 3 bridges: a cycle through
-    # it would need two non-bridge edges
-    for v in g.vertices():
-        nb = sum(1 for d in g.incident(v) if d in banned)
-        assert nb in (0, 1, 3)
-        assert (nb == 3) == (len(components[comp_of[v]]) == 1)
-    roots = []
-    seen: Set[int] = set()
-    for comp in g.connected_components():
-        lead = min(comp)
-        idx = comp_of[lead]
-        if idx not in seen:
-            roots.append(idx)
-            seen.update(comp_of[w] for w in comp)
-    return GlueForest(bridges, tuple(components), comp_of, tuple(roots))
+    # it would need two non-bridge edges; one on none lies in a larger piece
+    for v, nb in on_bridges.items():
+        assert nb in (1, 3) and (nb == 3) == (len(components[comp_of[v]]) == 1)
+    # the first piece of each tree of the bridge forest holds the smallest
+    # vertex of its component of g
+    roots, seen = [], [False] * len(components)
+    for root in range(len(components)):
+        if not seen[root]:
+            roots.append(root)
+            seen[root], stack = True, [root]
+            while stack:
+                for b in bridges_at[stack.pop()]:
+                    for ci in map(comp_of.__getitem__, g.endpoints(b)):
+                        if not seen[ci]:
+                            seen[ci] = True
+                            stack.append(ci)
+    return GlueForest(bridges, components, comp_of, tuple(roots), tuple(map(tuple, bridges_at)))
 
 
 # a vertex count and sorted vertex pairs
@@ -1204,20 +1215,37 @@ class _PieceProfile(NamedTuple):
     invariant: PieceKey
     adj: List[List[int]]
     depth: List[int]
+    rows: List[Tuple[int, int, int]]  # (id in g, u, v), piece numbering
 
 
-def _piece_profile(g: PseudoGraph) -> _PieceProfile:
-    """An isomorphism invariant of g, simple with every degree at most 3,
-    with the adjacency lists and depths it was read from.
+def _piece_profile(g: PseudoGraph, verts: Sequence[int]) -> _PieceProfile:
+    """An isomorphism invariant of the piece of g on the ascending vertices
+    verts, each edge that leaves them ending at a fresh leaf, with the
+    adjacency lists, depths and rows it was read from.
 
+    The rows are the piece's edges in the numbering induced_subgraph and
+    then attach_pendant in vertex order would give: verts, then the leaves;
+    internal edges by ascending id, then the pendant edges; each labelled
+    with its id in g (a pendant edge's is the bridge's it stands for).
     A vertex's depth is its distance to the nearest leaf, counted from 1
     (n + 1 where no leaf reaches).  The invariant is the vertex count and
     the sorted depth pairs of the edges: one pass, against the refinement
     rounds of _canonical_edges, so that a piece no other piece shares it
     with is never keyed.
     """
-    n = g.num_vertices
-    rows = list(g.edges())
+    index = {v: i for i, v in enumerate(verts)}
+    rows: List[Tuple[int, int, int]] = []
+    pendants: List[Tuple[int, int, int]] = []
+    for i, v in enumerate(verts):
+        for e in g.incident(v):
+            a, b = g.endpoints(e)
+            j = index.get(b if a == v else a)
+            if j is None:
+                pendants.append((e, i, len(verts) + len(pendants)))
+            elif i < j:
+                rows.append((e, i, j))
+    rows = sorted(rows) + pendants
+    n = len(verts) + len(pendants)
     adj: List[List[int]] = [[] for _ in range(n)]
     for _, u, v in rows:
         adj[u].append(v)
@@ -1233,12 +1261,12 @@ def _piece_profile(g: PseudoGraph) -> _PieceProfile:
     pairs = sorted(
         (depth[u], depth[v]) if depth[u] < depth[v] else (depth[v], depth[u]) for _, u, v in rows
     )
-    return _PieceProfile((n, tuple(pairs)), adj, depth)
+    return _PieceProfile((n, tuple(pairs)), adj, depth, rows)
 
 
-def _canonical_edges(g: PseudoGraph, profile: _PieceProfile) -> Tuple[PieceKey, List[int]]:
-    """A relabelling of g, whose profile is given: (key, g's edge ids in key
-    order).
+def _canonical_edges(profile: _PieceProfile) -> Tuple[PieceKey, List[int]]:
+    """A relabelling of the piece whose profile is given: (key, g's edge ids
+    in key order).
 
     The key is the vertex count and the sorted end pairs of the edges under
     a breadth-first numbering.  Vertices compare by class, then by label;
@@ -1247,13 +1275,13 @@ def _canonical_edges(g: PseudoGraph, profile: _PieceProfile) -> Tuple[PieceKey, 
     stability from the depths: a vertex's next class is its class with the
     multiset of its neighbours' classes (as their sum, sum of squares and
     product, which determine a multiset of three), numbered in sorted order,
-    so an isomorphism keeps every class.  Equal keys of two graphs make the
+    so an isomorphism keeps every class.  Equal keys of two pieces make the
     composed numberings an isomorphism, the i-th edge of one onto the i-th
     of the other, however the label ties fell; a tie between vertices that
-    no automorphism swaps only gives isomorphic graphs different keys.
+    no automorphism swaps only gives isomorphic pieces different keys.
     """
-    n = g.num_vertices
     adj = profile.adj
+    n = len(adj)
     cls = profile.depth
     count = len(set(cls))
     # three neighbour columns; a missing neighbour reads the class 0 at n
@@ -1289,7 +1317,7 @@ def _canonical_edges(g: PseudoGraph, profile: _PieceProfile) -> Tuple[PieceKey, 
                     order.append(w)
             head += 1
     pairs = sorted(
-        ((new[u], new[v]) if new[u] < new[v] else (new[v], new[u]), e) for e, u, v in g.edges()
+        ((new[u], new[v]) if new[u] < new[v] else (new[v], new[u]), e) for e, u, v in profile.rows
     )
     return (n, tuple(p for p, _ in pairs)), [e for _, e in pairs]
 
@@ -1298,21 +1326,23 @@ def normal7_coloring(
     g: PseudoGraph,
     trace: Optional[List[CertificateStep]] = None,
 ) -> EdgeColoring:
-    """Normal 7-edge-coloring of any simple cubic graph.
+    """Normal 7-edge-coloring of any simple cubic graph, connected or not.
 
     Bridgeless graphs are colored straight from a nowhere-zero Z_2^3 flow.
     Otherwise the graph splits at its bridges into bridgeless pieces and
     isolated 3-bridge vertices; each piece gets a pendant edge per boundary
     vertex, is colored by color_degree13_graph, and the pieces are glued
-    back with palette renamings that make every bridge poor.
+    back, from one root piece per component of g, with palette renamings
+    that make every bridge poor.  A piece's colors are kept in g's edge
+    ids, its pendant edges' under the ids of their bridges.
 
     Isomorphic pieces are colored once per call.  A piece whose
     _piece_profile invariant another piece shares is keyed by
     _canonical_edges; a later piece with the key of an earlier one takes
-    that representative's colors edge by edge, and its steps in the trace
-    are copies of the representative's: the same tags, with fingerprints of
-    the representative's graphs.  The whole-graph check at the end covers
-    the copied colors as it covers the rest.
+    that representative's colors edge by edge, with no graph built, and its
+    steps in the trace are copies of the representative's: the same tags,
+    with fingerprints of the representative's graphs.  The whole-graph
+    check at the end covers the copied colors as it covers the rest.
     """
     steps: List[CertificateStep] = trace if trace is not None else []
     if not g.is_cubic():
@@ -1324,73 +1354,49 @@ def normal7_coloring(
 
     forest = build_glue_forest(g)
 
+    def color_piece(verts: Sequence[int], profile: _PieceProfile) -> Dict[int, int]:
+        """The piece built in its profile's numbering, colored in g's ids."""
+        sub, _, emap = induced_subgraph(g, verts)
+        assert all(profile.rows[loc][0] == e for e, loc in emap.items())
+        for _, u, _ in profile.rows[len(emap):]:
+            sub.add_edge(u, sub.add_vertex())
+        assert all(sub.degree(v) in (1, 3) for v in sub.vertices())
+        own = color_degree13_graph(sub, steps).colors
+        return {e: own[loc] for loc, (e, _, _) in enumerate(profile.rows)}
+
     # color each non-singleton piece with a pendant edge per boundary vertex
     piece_colors: Dict[int, Dict[int, int]] = {}
-    piece_emap: Dict[int, Dict[int, int]] = {}
-    piece_vmap: Dict[int, Dict[int, int]] = {}
-    piece_pendant: Dict[int, Dict[int, int]] = {}
-    piece_graph: Dict[int, PseudoGraph] = {}
-    # invariant -> the first piece with it (index, profile, steps) until a
-    # second piece shares it and both are keyed; key -> the representative's
-    # colors in key order and its steps
+    # invariant -> its first piece (index, profile, steps) until a second
+    # shares it and both are keyed; key -> representative's colors and steps
     first_with: Dict[PieceKey, Optional[Tuple[int, _PieceProfile, List[CertificateStep]]]] = {}
     colored: Dict[PieceKey, Tuple[List[int], List[CertificateStep]]] = {}
     for ci, verts in enumerate(forest.components):
         if len(verts) == 1:
             continue
-        sub, vmap, emap = induced_subgraph(g, verts)
-        pend: Dict[int, int] = {}
-        for v in sorted(sub.vertices()):
-            if sub.degree(v) == 2:
-                sub, _, pe = attach_pendant(sub, v)
-                pend[v] = pe
-        assert all(sub.degree(v) in (1, 3) for v in sub.vertices())
-        piece_emap[ci] = emap
-        piece_vmap[ci] = vmap
-        piece_pendant[ci] = pend
-        piece_graph[ci] = sub
-        profile = _piece_profile(sub)
+        profile = _piece_profile(g, verts)
         first = len(steps)
         if profile.invariant not in first_with:
-            piece_colors[ci] = dict(color_degree13_graph(sub, steps).colors)
+            piece_colors[ci] = color_piece(verts, profile)
             first_with[profile.invariant] = ci, profile, steps[first:]
             continue
         held = first_with[profile.invariant]
         if held is not None:  # another piece shares it: key the first one
             cj, cj_profile, cj_steps = held
-            key, eids = _canonical_edges(piece_graph[cj], cj_profile)
+            key, eids = _canonical_edges(cj_profile)
             colored[key] = [piece_colors[cj][e] for e in eids], cj_steps
             first_with[profile.invariant] = None
-        key, eids = _canonical_edges(sub, profile)
+        key, eids = _canonical_edges(profile)
         if key in colored:
             rep_colors, rep_steps = colored[key]
             steps.extend(rep_steps)
         else:
-            own = color_degree13_graph(sub, steps).colors
+            own = color_piece(verts, profile)
             rep_colors = [own[e] for e in eids]
             colored[key] = rep_colors, steps[first:]
         piece_colors[ci] = dict(zip(eids, rep_colors))
 
-    def slot_color(ci: int, v: int) -> int:
-        loc = piece_vmap[ci][v]
-        return piece_colors[ci][piece_pendant[ci][loc]]
-
-    def other_colors(ci: int, v: int) -> List[int]:
-        loc = piece_vmap[ci][v]
-        pe = piece_pendant[ci][loc]
-        return sorted(
-            piece_colors[ci][d]
-            for d in piece_graph[ci].incident(loc)
-            if d != pe
-        )
-
-    def apply_perm(ci: int, perm: Tuple[int, ...]) -> None:
-        piece_colors[ci] = {d: perm[c] for d, c in piece_colors[ci].items()}
-
-    bridges_at: Dict[int, List[int]] = {}
-    for b in forest.bridges:
-        for v in g.endpoints(b):
-            bridges_at.setdefault(forest.comp_of[v], []).append(b)
+    def other_colors(ci: int, v: int, b: int) -> List[int]:
+        return sorted(piece_colors[ci][d] for d in _others_at(g, v, b))
 
     # every glue step fingerprints g: hash its edge list once
     prefix = _fingerprint_prefix(g)
@@ -1401,7 +1407,7 @@ def normal7_coloring(
         if root in piece_colors:
             _record(steps, CaseTag.Glue, g, forest.components[root], prefix=prefix)
         else:
-            own = sorted(bridges_at.get(root, []))
+            own = forest.bridges_at[root]
             assert len(own) == 3
             for i, b in enumerate(own):
                 bridge_color[b] = i + 1
@@ -1409,34 +1415,31 @@ def normal7_coloring(
         queue = deque([root])
         while queue:
             ci = queue.popleft()
-            for b in sorted(bridges_at.get(ci, [])):
+            for b in forest.bridges_at[ci]:
                 bu, bv = g.endpoints(b)
-                alpha, beta = (
-                    (bu, bv) if forest.comp_of[bu] == ci else (bv, bu)
-                )
+                alpha, beta = (bu, bv) if forest.comp_of[bu] == ci else (bv, bu)
                 cj = forest.comp_of[beta]
                 if cj in visited:
                     assert b in bridge_color
                     continue
                 if ci in piece_colors:
-                    bridge_color[b] = slot_color(ci, alpha)
-                    others_a = other_colors(ci, alpha)
+                    # the slot color at alpha: its pendant edge's, kept under b
+                    bridge_color[b] = piece_colors[ci][b]
+                    others_a = other_colors(ci, alpha, b)
                 else:
                     # alpha is a 3-bridge vertex whose edges were all colored
                     # when its piece was glued (or seeded at the root)
                     assert b in bridge_color
-                    others_a = sorted(
-                        bridge_color[d] for d in g.incident(alpha) if d != b
-                    )
+                    others_a = sorted(bridge_color[d] for d in _others_at(g, alpha, b))
                 if cj in piece_colors:
-                    partial = {slot_color(cj, beta): bridge_color[b]}
-                    for src, dst in zip(other_colors(cj, beta), others_a):
+                    partial = {piece_colors[cj][b]: bridge_color[b]}
+                    for src, dst in zip(other_colors(cj, beta, b), others_a):
                         partial[src] = dst
                     perm = _extend_palette_perm(partial)
-                    apply_perm(cj, perm)
+                    piece_colors[cj] = {d: perm[c] for d, c in piece_colors[cj].items()}
                     _record(steps, CaseTag.Glue, g, (b,), perm, prefix)
                 else:
-                    rest = sorted(d for d in g.incident(beta) if d != b)
+                    rest = _others_at(g, beta, b)
                     assert len(rest) == 2
                     for d, c in zip(rest, others_a):
                         bridge_color[d] = c
@@ -1444,13 +1447,10 @@ def normal7_coloring(
                 visited.add(cj)
                 queue.append(cj)
 
-    colors: Dict[int, int] = {}
-    for ci in piece_colors:
-        for orig, loc in piece_emap[ci].items():
-            colors[orig] = piece_colors[ci][loc]
-    for b in forest.bridges:
-        assert b in bridge_color
-        colors[b] = bridge_color[b]
+    # each piece holds its bridges' slot colors, which the glue's replace
+    colors = {e: c for own in piece_colors.values() for e, c in own.items()}
+    assert all(b in bridge_color for b in forest.bridges)
+    colors.update(bridge_color)
     col, report = _verified_normal(g, colors, steps)
     # the glue keeps the color sets at both ends of each bridge equal
     verify_or_raise(

@@ -35,6 +35,7 @@ from normal7.normal7_pipeline import (
 from tests.corpora import (
     cubic_census_upto,
     diamond_lobe_pair,
+    disjoint_union,
     doubled_edge_cubic,
     fig6_graph,
     gadget_tree,
@@ -460,6 +461,29 @@ class TestNormal7Coloring:
         ok, _ = is_normal(col)
         assert ok
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: disjoint_union(three_bridge_star(), petersen()),
+            lambda: disjoint_union(petersen(), three_bridge_star()),
+            # a 3-bridge hub is the smallest vertex of its component, so a
+            # singleton piece is the root there
+            lambda: disjoint_union(three_bridge_star(), relabeled(three_bridge_star(), 1)),
+            lambda: disjoint_union(relabeled(three_bridge_star(), 2), three_bridge_star()),
+        ],
+        ids=["star+petersen", "petersen+star", "hub0+relabelled", "relabelled+hub16"],
+    )
+    def test_disconnected_with_bridges(self, build):
+        g = build()
+        steps = []
+        ok, statuses = is_normal(normal7_coloring(g, steps))
+        assert ok
+        bridges = find_bridges(g)
+        assert all(statuses[b] is EdgeStatus.POOR for b in bridges)
+        # one root step per component of g, one step per bridge
+        tags = [s.tag for s in steps]
+        assert tags.count(CaseTag.Glue) == len(bridges) + len(g.connected_components())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             normal7_coloring(theta_graph())
@@ -551,8 +575,14 @@ def vertex_map_of(a: PseudoGraph, b: PseudoGraph, edge_map: dict) -> dict:
     return vmap
 
 
-def canonical_edges(g: PseudoGraph):
-    return normal7_pipeline._canonical_edges(g, normal7_pipeline._piece_profile(g))
+def profile_of(piece: PseudoGraph):
+    """A standalone piece read as normal7_coloring reads a piece of g: its
+    vertices of degree 2 or more, each leaf edge standing for a bridge."""
+    return normal7_pipeline._piece_profile(piece, [v for v in piece.vertices() if piece.degree(v) > 1])
+
+
+def canonical_edges(piece: PseudoGraph):
+    return normal7_pipeline._canonical_edges(profile_of(piece))
 
 
 def piece_copy_tree(copies: int, seed: int) -> PseudoGraph:
@@ -576,8 +606,7 @@ class TestPieceMemo:
                 continue
             rep, rep_eids = first[key]
             assert nx.is_isomorphic(as_networkx(sub), as_networkx(rep))
-            profile = normal7_pipeline._piece_profile
-            assert profile(sub).invariant == profile(rep).invariant
+            assert profile_of(sub).invariant == profile_of(rep).invariant
             vertex_map_of(sub, rep, dict(zip(eids, rep_eids)))
         return first
 
@@ -637,6 +666,64 @@ class TestPieceMemo:
         assert 22 in two
         assert sorted(twelve) == sorted(two)
 
+    def test_a_piece_is_read_off_g_as_the_built_piece(self):
+        # the rows _piece_profile reads off g are the edges of the piece that
+        # induced_subgraph and attach_pendant build, in their order, each
+        # labelled with the id in g of the edge it is or stands for
+        for g in cubic_census_upto(14):
+            if not find_bridges(g):
+                continue
+            for verts in build_glue_forest(g).components:
+                if len(verts) == 1:
+                    continue
+                sub, _, emap = induced_subgraph(g, verts)
+                ids = {loc: e for e, loc in emap.items()}
+                for v in sorted(sub.vertices()):
+                    if sub.degree(v) == 2:
+                        sub, _, pe = attach_pendant(sub, v)
+                        (ids[pe],) = set(g.incident(verts[v])) - set(emap)
+                rows = normal7_pipeline._piece_profile(g, verts).rows
+                assert [(e, {u, v}) for e, u, v in rows] == [(ids[loc], {u, v}) for loc, u, v in sub.edges()]
+
+    def built_and_colored(self, monkeypatch, g):
+        """(piece graphs normal7_coloring builds, color_degree13_graph calls
+        it makes itself, not counting their recursion) while it colors g."""
+        built, top, depth = [], [], []
+        induce = normal7_pipeline.induced_subgraph
+        color = normal7_pipeline.color_degree13_graph
+
+        def induced(h, keep):
+            built.append(h)
+            return induce(h, keep)
+
+        def counted(sub, trace=None):
+            if not depth:
+                top.append(sub.num_vertices)
+            depth.append(sub)
+            try:
+                return color(sub, trace)
+            finally:
+                depth.pop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(normal7_pipeline, "induced_subgraph", induced)
+            patch.setattr(normal7_pipeline, "color_degree13_graph", counted)
+            assert is_normal(normal7_coloring(g))[0]
+        return len(built), len(top)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: gadget_tree(200, 4), three_bridge_star], ids=["gadget_tree_200", "three_bridge_star"]
+    )
+    def test_a_copied_piece_builds_no_graph(self, monkeypatch, build):
+        # the pieces after the first copy its colors and build no graph
+        assert self.built_and_colored(monkeypatch, build()) == (1, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_graph_is_built_per_colored_piece(self, monkeypatch, seed):
+        for copies in (2, 12):
+            built, colored = self.built_and_colored(monkeypatch, relabeled(piece_copy_tree(copies, seed), seed))
+            assert built == colored == 2
+
     def test_a_gadget_tree_with_12010_vertices(self):
         hubs = 2000
         g = gadget_tree(hubs, 5)
@@ -648,7 +735,63 @@ class TestPieceMemo:
         assert tags.count(CaseTag.ThreeEC_Case1) + tags.count(CaseTag.ThreeEC_Case2) == hubs + 2
 
 
+def two_search_glue_forest(g: PseudoGraph):
+    """(components, comp_of, roots) as build_glue_forest found them with a
+    second component search: the root of each component of g is the piece
+    holding its smallest vertex."""
+    banned = set(find_bridges(g))
+    components = [tuple(c) for c in g.connected_components(skip=banned)]
+    comp_of = {v: idx for idx, comp in enumerate(components) for v in comp}
+    for v in g.vertices():
+        nb = sum(1 for d in g.incident(v) if d in banned)
+        assert nb in (0, 1, 3)
+        assert (nb == 3) == (len(components[comp_of[v]]) == 1)
+    roots = []
+    seen = set()
+    for comp in g.connected_components():
+        idx = comp_of[min(comp)]
+        if idx not in seen:
+            roots.append(idx)
+            seen.update(comp_of[w] for w in comp)
+    return tuple(components), comp_of, tuple(roots)
+
+
 class TestGlueForest:
+    def test_agrees_with_two_searches(self):
+        bridged = [g for g in cubic_census_upto(14) if find_bridges(g)]
+        star = three_bridge_star()
+        unions = [disjoint_union(a, b) for a, b in zip(bridged[::2], bridged[1::2])]
+        unions += [
+            disjoint_union(star, petersen()),
+            disjoint_union(petersen(), star, k4()),
+            disjoint_union(star, relabeled(star, 1), two_bridge_chain()),
+            disjoint_union(relabeled(star, 2), star),
+        ]
+        for g in bridged + unions:
+            forest = build_glue_forest(g)
+            assert (forest.components, forest.comp_of, forest.roots) == two_search_glue_forest(g)
+            for ci, own in enumerate(forest.bridges_at):
+                assert list(own) == [b for b in forest.bridges if ci in map(forest.comp_of.get, g.endpoints(b))]
+
+    @pytest.mark.parametrize(
+        "build", [three_bridge_star, two_bridge_chain, lambda: gadget_tree(40, 2)], ids=["star", "chain", "tree"]
+    )
+    def test_one_component_search_per_coloring(self, monkeypatch, build):
+        g = build()
+        searches = []
+        search = PseudoGraph.connected_components
+
+        def counted(h, skip=()):
+            if h is g:
+                searches.append(h)
+            return search(h, skip)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PseudoGraph, "connected_components", counted)
+            col = normal7_coloring(g)
+        assert is_normal(col)[0]
+        assert len(searches) == 1
+
     def test_three_bridge_star(self):
         g = three_bridge_star()
         forest = build_glue_forest(g)
