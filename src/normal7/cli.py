@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -182,20 +181,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass
-class CensusRecord:
-    graph6: str
-    n: int
-    bridges: int
-    colors_used: int
-    verified: bool
-    exact_chi: Optional[int]
-    solver_nodes: int
-    elapsed_ms: float
-
-
 def census_line(line: str, exact_up_to: int, budget: Optional[int]) -> Dict[str, object]:
-    """One census record; any per-graph failure is reported, never raised."""
+    """One census record; any per-graph failure is reported, never raised.
+
+    A record holds graph6, n, bridges, colors_used, verified, exact_chi,
+    solver_nodes and elapsed_ms, in that order, and inconclusive when an
+    exact run ran out of budget; a failed line holds graph6, error and
+    elapsed_ms.
+    """
     start = time.perf_counter()
     try:
         g = parse_graph6(line)
@@ -218,17 +211,16 @@ def census_line(line: str, exact_up_to: int, budget: Optional[int]) -> Dict[str,
                 exact_chi = colors_used
             solver_nodes = res.nodes_explored
             inconclusive = res.timed_out
-        record = CensusRecord(
-            graph6=line,
-            n=g.num_vertices,
-            bridges=len(find_bridges(g)),
-            colors_used=colors_used,
-            verified=True,
-            exact_chi=exact_chi,
-            solver_nodes=solver_nodes,
-            elapsed_ms=round((time.perf_counter() - start) * 1000.0, 3),
-        )
-        out = asdict(record)
+        out: Dict[str, object] = {
+            "graph6": line,
+            "n": g.num_vertices,
+            "bridges": len(find_bridges(g)),
+            "colors_used": colors_used,
+            "verified": True,
+            "exact_chi": exact_chi,
+            "solver_nodes": solver_nodes,
+            "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
+        }
         if inconclusive:
             out["inconclusive"] = True  # the key normal7 exact uses
         return out

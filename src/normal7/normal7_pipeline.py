@@ -37,7 +37,7 @@ import enum
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from normal7.coloring_solver import (
     EdgeColoring,
@@ -1211,29 +1211,34 @@ def build_glue_forest(g: PseudoGraph) -> GlueForest:
 PieceKey = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 
-class _PieceProfile(NamedTuple):
+class _PieceRead(NamedTuple):
     invariant: PieceKey
     adj: List[List[int]]
     depth: List[int]
     rows: List[Tuple[int, int, int]]  # (id in g, u, v), piece numbering
+    first: Optional[Tuple[PieceKey, List[int]]]  # (key, ids in key order) if shared
 
 
-def _piece_profile(g: PseudoGraph, verts: Sequence[int]) -> _PieceProfile:
-    """An isomorphism invariant of the piece of g on the ascending vertices
-    verts, each edge that leaves them ending at a fresh leaf, with the
-    adjacency lists, depths and rows it was read from.
+def _read_piece(g: PseudoGraph, verts: Sequence[int], shared: Container[PieceKey]) -> _PieceRead:
+    """The piece of g on the ascending vertices verts, each edge that leaves
+    them ending at a fresh leaf, read once: its rows, adjacency lists,
+    depths and isomorphism invariant, and its first key when shared holds
+    the invariant.
 
     The rows are the piece's edges in the numbering induced_subgraph and
     then attach_pendant in vertex order would give: verts, then the leaves;
     internal edges by ascending id, then the pendant edges; each labelled
     with its id in g (a pendant edge's is the bridge's it stands for).
     A vertex's depth is its distance to the nearest leaf, counted from 1
-    (n + 1 where no leaf reaches).  The invariant is the vertex count and
-    the sorted depth pairs of the edges: one pass, against the refinement
-    rounds of _canonical_edges, so that a piece no other piece shares it
-    with is never keyed.
+    (n + 1 where no leaf reaches), found breadth-first from the leaves.  The
+    invariant is the vertex count and the sorted depth pairs of the edges:
+    a piece no other piece shares it with is never keyed.
+
+    The first key is _canonical_edges without refinement rounds: the
+    depths are the classes its numbering breaks ties of by label.
     """
     index = {v: i for i, v in enumerate(verts)}
+    adj: List[List[int]] = [[] for _ in verts]
     rows: List[Tuple[int, int, int]] = []
     pendants: List[Tuple[int, int, int]] = []
     for i, v in enumerate(verts):
@@ -1241,85 +1246,96 @@ def _piece_profile(g: PseudoGraph, verts: Sequence[int]) -> _PieceProfile:
             a, b = g.endpoints(e)
             j = index.get(b if a == v else a)
             if j is None:
-                pendants.append((e, i, len(verts) + len(pendants)))
+                j = len(adj)
+                pendants.append((e, i, j))
+                adj.append([i])
             elif i < j:
                 rows.append((e, i, j))
-    rows = sorted(rows) + pendants
-    n = len(verts) + len(pendants)
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for _, u, v in rows:
-        adj[u].append(v)
-        adj[v].append(u)
-    depth = [n + 1] * n
-    frontier = [v for v in range(n) if len(adj[v]) == 1]
-    d = 0
-    while frontier:
-        d += 1
-        for v in frontier:
-            depth[v] = d
-        frontier = list({w for v in frontier for w in adj[v] if depth[w] > n})
-    pairs = sorted(
-        (depth[u], depth[v]) if depth[u] < depth[v] else (depth[v], depth[u]) for _, u, v in rows
-    )
-    return _PieceProfile((n, tuple(pairs)), adj, depth, rows)
+            adj[i].append(j)
+    rows.sort()
+    rows += pendants
+    k, n = len(verts), len(adj)
+    depth = [0] * k + [1] * (n - k)
+    reached = list(range(k, n))
+    for v in reached:
+        d = depth[v] + 1
+        for w in adj[v]:
+            if not depth[w]:
+                depth[w] = d
+                reached.append(w)
+    if k == n:  # a bridgeless component of g: no leaf
+        depth = [n + 1] * n
+    pairs = sorted((depth[u], depth[v]) if depth[u] < depth[v] else (depth[v], depth[u]) for _, u, v in rows)
+    piece = _PieceRead((n, tuple(pairs)), adj, depth, rows, None)
+    if piece.invariant not in shared:
+        return piece
+    return piece._replace(first=_canonical_edges(piece, refine=False))
 
 
-def _canonical_edges(profile: _PieceProfile) -> Tuple[PieceKey, List[int]]:
-    """A relabelling of the piece whose profile is given: (key, g's edge ids
-    in key order).
+def _canonical_edges(piece: _PieceRead, refine: bool = True) -> Tuple[PieceKey, List[int]]:
+    """A key of a piece: (key, g's edge ids in key order).  The refined key
+    is normal7_coloring's fallback when a piece's first key matches no
+    colored piece's; refine=False gives the first key, numbered by depth.
 
     The key is the vertex count and the sorted end pairs of the edges under
     a breadth-first numbering.  Vertices compare by class, then by label;
     the search starts at the least vertex and takes each vertex's new
-    neighbours in ascending order.  The classes are colour refinement to
-    stability from the depths: a vertex's next class is its class with the
-    multiset of its neighbours' classes (as their sum, sum of squares and
-    product, which determine a multiset of three), numbered in sorted order,
-    so an isomorphism keeps every class.  Equal keys of two pieces make the
-    composed numberings an isomorphism, the i-th edge of one onto the i-th
-    of the other, however the label ties fell; a tie between vertices that
-    no automorphism swaps only gives isomorphic pieces different keys.
+    neighbours in ascending order.  The refined classes are colour
+    refinement to stability from the depths: a vertex's next class is its
+    class with the multiset of its neighbours' classes (as their sum, sum of
+    squares and product, which determine a multiset of three), numbered in
+    sorted order, so an isomorphism keeps every class.  Equal keys of two
+    pieces make the composed numberings an isomorphism, the i-th edge of one
+    onto the i-th of the other, however the label ties fell, so a key under
+    any numbering is a proof; a tie between vertices that no automorphism
+    swaps only gives isomorphic pieces different keys.  Refinement splits
+    ties the depths leave, so isomorphic pieces whose first keys differ can
+    still share the refined key: it stays as the fallback.  Where no round
+    splits a depth class the refined key is the first key, returned as read.
     """
-    adj = profile.adj
+    adj = piece.adj
     n = len(adj)
-    cls = profile.depth
-    count = len(set(cls))
-    # three neighbour columns; a missing neighbour reads the class 0 at n
-    cols = list(zip(*(a + [n] * (3 - len(a)) for a in adj)))
-    while count < n:
-        padded = cls + [0]
-        x, y, z = ([padded[w] for w in col] for col in cols)
-        sig = [
-            (c, p + q + r, p * p + q * q + r * r, p * q * r)
-            for c, p, q, r in zip(cls, x, y, z)
-        ]
-        number = {key: i for i, key in enumerate(sorted(set(sig)), 1)}
-        if len(number) == count:
-            break
-        count = len(number)
-        cls = [number[key] for key in sig]
-    ranked = sorted(range(n), key=lambda v: (cls[v], v))
-    pos = [0] * n
-    for i, v in enumerate(ranked):
-        pos[v] = i
+    cls = piece.depth
+    if refine:
+        count = len(set(cls))
+        # three neighbour columns; a missing neighbour reads the class 0 at n
+        cols = list(zip(*(a + [n] * (3 - len(a)) for a in adj)))
+        while count < n:
+            padded = cls + [0]
+            x, y, z = ([padded[w] for w in col] for col in cols)
+            sig = [
+                (c, p + q + r, p * p + q * q + r * r, p * q * r)
+                for c, p, q, r in zip(cls, x, y, z)
+            ]
+            number = {key: i for i, key in enumerate(sorted(set(sig)), 1)}
+            if len(number) == count:
+                break
+            count = len(number)
+            cls = [number[key] for key in sig]
+        if cls is piece.depth and piece.first is not None:
+            return piece.first
+    # one breadth-first search numbers the piece, which is connected; each
+    # vertex lists its neighbours in (class, label) order
+    ranked = sorted(range(n), key=cls.__getitem__)  # stable: ties by label
+    by_rank: List[List[int]] = [[] for _ in adj]
+    for v in ranked:
+        for w in adj[v]:
+            by_rank[w].append(v)
     new = [-1] * n
-    order: List[int] = []
-    for s in ranked:
-        if new[s] >= 0:
-            continue
-        head = len(order)
-        new[s] = head
-        order.append(s)
-        while head < len(order):
-            for w in sorted(adj[order[head]], key=pos.__getitem__):
-                if new[w] < 0:
-                    new[w] = len(order)
-                    order.append(w)
-            head += 1
-    pairs = sorted(
-        ((new[u], new[v]) if new[u] < new[v] else (new[v], new[u]), e) for e, u, v in profile.rows
-    )
-    return (n, tuple(p for p, _ in pairs)), [e for _, e in pairs]
+    new[ranked[0]] = 0
+    order = [ranked[0]]
+    for u in order:
+        for w in by_rank[u]:
+            if new[w] < 0:
+                new[w] = len(order)
+                order.append(w)
+    # a simple piece has one edge per end pair
+    at: Dict[Tuple[int, int], int] = {}
+    for e, u, v in piece.rows:
+        a, b = new[u], new[v]
+        at[(a, b) if a < b else (b, a)] = e
+    ends = sorted(at)
+    return (n, tuple(ends)), [at[p] for p in ends]
 
 
 def normal7_coloring(
@@ -1336,13 +1352,20 @@ def normal7_coloring(
     that make every bridge poor.  A piece's colors are kept in g's edge
     ids, its pendant edges' under the ids of their bridges.
 
-    Isomorphic pieces are colored once per call.  A piece whose
-    _piece_profile invariant another piece shares is keyed by
-    _canonical_edges; a later piece with the key of an earlier one takes
-    that representative's colors edge by edge, with no graph built, and its
-    steps in the trace are copies of the representative's: the same tags,
-    with fingerprints of the representative's graphs.  The whole-graph
-    check at the end covers the copied colors as it covers the rest.
+    Isomorphic pieces are colored once per call.  Each piece is read off g
+    once by _read_piece.  A piece whose invariant another piece shares is
+    keyed first in that read, by _canonical_edges' numbering without
+    refinement; only when that first key matches no colored piece's is it
+    given the refined key, whose classes break label ties the first key
+    leaves, and a piece colored then is kept under both keys.  Equal keys
+    under any numbering prove an isomorphism, edge i of one key onto edge i
+    of the other, so a piece with a colored piece's key takes its colors
+    through the two numberings, with no graph built, and its steps in the
+    trace are copies of that piece's: the same tags, with fingerprints of
+    its graphs.  Among isomorphic pieces with no automorphism to even out
+    their label ties, the piece copied can be another than the one of
+    equal refined key: the first key is tried first.  The whole-graph check
+    at the end covers the copied colors as it covers the rest.
     """
     steps: List[CertificateStep] = trace if trace is not None else []
     if not g.is_cubic():
@@ -1354,46 +1377,56 @@ def normal7_coloring(
 
     forest = build_glue_forest(g)
 
-    def color_piece(verts: Sequence[int], profile: _PieceProfile) -> Dict[int, int]:
-        """The piece built in its profile's numbering, colored in g's ids."""
+    def color_piece(verts: Sequence[int], rows: List[Tuple[int, int, int]]) -> Dict[int, int]:
+        """The piece built in the numbering of its rows, colored in g's ids."""
         sub, _, emap = induced_subgraph(g, verts)
-        assert all(profile.rows[loc][0] == e for e, loc in emap.items())
-        for _, u, _ in profile.rows[len(emap):]:
+        assert all(rows[loc][0] == e for e, loc in emap.items())
+        for _, u, _ in rows[len(emap):]:
             sub.add_edge(u, sub.add_vertex())
         assert all(sub.degree(v) in (1, 3) for v in sub.vertices())
         own = color_degree13_graph(sub, steps).colors
-        return {e: own[loc] for loc, (e, _, _) in enumerate(profile.rows)}
+        return {e: own[loc] for loc, (e, _, _) in enumerate(rows)}
 
     # color each non-singleton piece with a pendant edge per boundary vertex
     piece_colors: Dict[int, Dict[int, int]] = {}
-    # invariant -> its first piece (index, profile, steps) until a second
-    # shares it and both are keyed; key -> representative's colors and steps
-    first_with: Dict[PieceKey, Optional[Tuple[int, _PieceProfile, List[CertificateStep]]]] = {}
+    # invariant -> its first piece (index, steps) until a second shares it
+    # and the first is keyed; key -> a colored piece's colors and steps,
+    # each keyed piece under its first and its refined key
+    first_with: Dict[PieceKey, Optional[Tuple[int, List[CertificateStep]]]] = {}
     colored: Dict[PieceKey, Tuple[List[int], List[CertificateStep]]] = {}
     for ci, verts in enumerate(forest.components):
         if len(verts) == 1:
             continue
-        profile = _piece_profile(g, verts)
+        piece = _read_piece(g, verts, first_with)
         first = len(steps)
-        if profile.invariant not in first_with:
-            piece_colors[ci] = color_piece(verts, profile)
-            first_with[profile.invariant] = ci, profile, steps[first:]
+        if piece.first is None:
+            piece_colors[ci] = color_piece(verts, piece.rows)
+            first_with[piece.invariant] = ci, steps[first:]
             continue
-        held = first_with[profile.invariant]
-        if held is not None:  # another piece shares it: key the first one
-            cj, cj_profile, cj_steps = held
-            key, eids = _canonical_edges(cj_profile)
-            colored[key] = [piece_colors[cj][e] for e in eids], cj_steps
-            first_with[profile.invariant] = None
-        key, eids = _canonical_edges(profile)
+        held = first_with[piece.invariant]
+        if held is not None:  # a second piece shares it: key the first one
+            cj, cj_steps = held
+            cj_piece = _read_piece(g, forest.components[cj], first_with)
+            for key, eids in (cj_piece.first, _canonical_edges(cj_piece)):
+                colored[key] = [piece_colors[cj][e] for e in eids], cj_steps
+            first_with[piece.invariant] = None
+        key, eids = piece.first
         if key in colored:
             rep_colors, rep_steps = colored[key]
             steps.extend(rep_steps)
+            piece_colors[ci] = dict(zip(eids, rep_colors))
+            continue
+        refined, refined_eids = _canonical_edges(piece)
+        if refined in colored:
+            rep_colors, rep_steps = colored[refined]
+            steps.extend(rep_steps)
+            own = dict(zip(refined_eids, rep_colors))
         else:
-            own = color_piece(verts, profile)
-            rep_colors = [own[e] for e in eids]
-            colored[key] = rep_colors, steps[first:]
-        piece_colors[ci] = dict(zip(eids, rep_colors))
+            own = color_piece(verts, piece.rows)
+            rep_steps = steps[first:]
+            colored[refined] = [own[e] for e in refined_eids], rep_steps
+        colored[key] = [own[e] for e in eids], rep_steps
+        piece_colors[ci] = own
 
     def other_colors(ci: int, v: int, b: int) -> List[int]:
         return sorted(piece_colors[ci][d] for d in _others_at(g, v, b))

@@ -32,6 +32,8 @@ from normal7.normal7_pipeline import (
     graph_fingerprint,
     normal7_coloring,
 )
+from perfbench import generators as gen
+from perfbench.workloads import GADGET_HUBS
 from tests.corpora import (
     cubic_census_upto,
     diamond_lobe_pair,
@@ -575,14 +577,98 @@ def vertex_map_of(a: PseudoGraph, b: PseudoGraph, edge_map: dict) -> dict:
     return vmap
 
 
-def profile_of(piece: PseudoGraph):
-    """A standalone piece read as normal7_coloring reads a piece of g: its
-    vertices of degree 2 or more, each leaf edge standing for a bridge."""
-    return normal7_pipeline._piece_profile(piece, [v for v in piece.vertices() if piece.degree(v) > 1])
+def reference_piece_profile(g: PseudoGraph, verts):
+    """(invariant, adj, depth, rows) of the piece of g on verts, the plain
+    way: rows in induced_subgraph then attach_pendant order, adjacency from
+    the rows, depths from the leaves by frontier sets, and the sorted depth
+    pairs of the edges.  The reference _read_piece must match."""
+    index = {v: i for i, v in enumerate(verts)}
+    rows, pendants = [], []
+    for i, v in enumerate(verts):
+        for e in g.incident(v):
+            a, b = g.endpoints(e)
+            j = index.get(b if a == v else a)
+            if j is None:
+                pendants.append((e, i, len(verts) + len(pendants)))
+            elif i < j:
+                rows.append((e, i, j))
+    rows = sorted(rows) + pendants
+    n = len(verts) + len(pendants)
+    adj = [[] for _ in range(n)]
+    for _, u, v in rows:
+        adj[u].append(v)
+        adj[v].append(u)
+    depth = [n + 1] * n
+    frontier = [v for v in range(n) if len(adj[v]) == 1]
+    d = 0
+    while frontier:
+        d += 1
+        for v in frontier:
+            depth[v] = d
+        frontier = list({w for v in frontier for w in adj[v] if depth[w] > n})
+    pairs = sorted(
+        (depth[u], depth[v]) if depth[u] < depth[v] else (depth[v], depth[u]) for _, u, v in rows
+    )
+    return (n, tuple(pairs)), adj, depth, rows
 
 
-def canonical_edges(piece: PseudoGraph):
-    return normal7_pipeline._canonical_edges(profile_of(piece))
+def reference_canonical_edges(adj, depth, rows):
+    """The refined key, the plain way: colour refinement from the depths,
+    then a breadth-first numbering by (class, label).  The reference
+    _canonical_edges must match."""
+    n = len(adj)
+    cls = depth
+    count = len(set(cls))
+    cols = list(zip(*(a + [n] * (3 - len(a)) for a in adj)))
+    while count < n:
+        padded = cls + [0]
+        x, y, z = ([padded[w] for w in col] for col in cols)
+        sig = [
+            (c, p + q + r, p * p + q * q + r * r, p * q * r)
+            for c, p, q, r in zip(cls, x, y, z)
+        ]
+        number = {key: i for i, key in enumerate(sorted(set(sig)), 1)}
+        if len(number) == count:
+            break
+        count = len(number)
+        cls = [number[key] for key in sig]
+    ranked = sorted(range(n), key=lambda v: (cls[v], v))
+    pos = [0] * n
+    for i, v in enumerate(ranked):
+        pos[v] = i
+    new = [-1] * n
+    order = []
+    for s in ranked:
+        if new[s] >= 0:
+            continue
+        head = len(order)
+        new[s] = head
+        order.append(s)
+        while head < len(order):
+            for w in sorted(adj[order[head]], key=pos.__getitem__):
+                if new[w] < 0:
+                    new[w] = len(order)
+                    order.append(w)
+            head += 1
+    pairs = sorted(
+        ((new[u], new[v]) if new[u] < new[v] else (new[v], new[u]), e) for e, u, v in rows
+    )
+    return (n, tuple(p for p, _ in pairs)), [e for _, e in pairs]
+
+
+class Everything:
+    """Holds every invariant, so _read_piece computes every first key."""
+
+    def __contains__(self, invariant):
+        return True
+
+
+def read_of(piece: PseudoGraph):
+    """A standalone piece read as normal7_coloring reads a piece of g whose
+    invariant another piece shares: its vertices of degree 2 or more, each
+    leaf edge standing for a bridge."""
+    verts = [v for v in piece.vertices() if piece.degree(v) > 1]
+    return normal7_pipeline._read_piece(piece, verts, Everything())
 
 
 def piece_copy_tree(copies: int, seed: int) -> PseudoGraph:
@@ -591,42 +677,80 @@ def piece_copy_tree(copies: int, seed: int) -> PseudoGraph:
     return PseudoGraph.from_edges(n, edges)
 
 
+def benchmark_trees(seed: int):
+    """Relabelled gadget trees, piece trees and ladder chains at the sizes
+    of the structured workload, drawn as it draws them."""
+    rng = random.Random(f"test_pipeline/{seed}")
+    built = [gen.gadget_tree(h, rng) for h in GADGET_HUBS]
+    built += [gen.piece_tree(6, 16, rng), gen.ladder_chain(4, rng), gen.ladder_chain(4, rng)]
+    return [gen.relabeled(n, edges, rng) for n, edges in built]
+
+
 class TestPieceMemo:
     """normal7_coloring colors each isomorphism class of piece once per call:
-    a later piece whose _canonical_edges key equals an earlier one's takes
-    its colors through the two relabellings, edge i of the key onto edge i."""
+    a later piece whose first or refined key equals a colored piece's takes
+    its colors through the two numberings, edge i of the key onto edge i."""
 
     def assert_equal_keys_are_isomorphisms(self, pieces):
-        first = {}
+        """For the first keys and the refined keys on their own: pieces with
+        equal keys are isomorphic, edge i of one key onto edge i of the
+        other.  Returns the distinct keys of each tier."""
+        tiers = ({}, {})
         for sub in pieces:
-            key, eids = canonical_edges(sub)
-            assert sorted(eids) == sub.edge_ids()
-            if key not in first:
-                first[key] = (sub, eids)
-                continue
-            rep, rep_eids = first[key]
-            assert nx.is_isomorphic(as_networkx(sub), as_networkx(rep))
-            assert profile_of(sub).invariant == profile_of(rep).invariant
-            vertex_map_of(sub, rep, dict(zip(eids, rep_eids)))
-        return first
+            read = read_of(sub)
+            for held, (key, eids) in zip(tiers, (read.first, normal7_pipeline._canonical_edges(read))):
+                assert sorted(eids) == sub.edge_ids()
+                if key not in held:
+                    held[key] = (sub, eids)
+                    continue
+                rep, rep_eids = held[key]
+                assert nx.is_isomorphic(as_networkx(sub), as_networkx(rep))
+                assert read.invariant == read_of(rep).invariant
+                vertex_map_of(sub, rep, dict(zip(eids, rep_eids)))
+        return tiers
 
     def test_equal_keys_are_isomorphisms_on_census_pieces(self):
         pieces = [p for g in cubic_census_upto(14) if find_bridges(g) for p in pieces_of(g)]
-        keys = self.assert_equal_keys_are_isomorphisms(pieces)
-        assert len(keys) < len(pieces)  # some keys are shared
+        for keys in self.assert_equal_keys_are_isomorphisms(pieces):
+            assert len(keys) < len(pieces)  # some keys are shared
 
     @pytest.mark.parametrize("copies, seed", [(2, 0), (6, 1), (12, 2), (12, 3)])
     def test_equal_keys_are_isomorphisms_on_piece_trees(self, copies, seed):
         # the copies are the same labelled piece: relabel each on its own
         pieces = [relabeled(p, seed + i) for i, p in enumerate(pieces_of(piece_copy_tree(copies, seed)))]
-        keys = self.assert_equal_keys_are_isomorphisms(pieces)
-        # the relabelled copies share a key, and so do the near-K4 blocks
-        assert len(keys) == 2
+        first_keys, refined_keys = self.assert_equal_keys_are_isomorphisms(pieces)
+        # the relabelled copies share a refined key, and so do the near-K4
+        # blocks; label ties can split the copies' first keys
+        assert len(refined_keys) == 2
+        assert 2 <= len(first_keys) <= copies + 1
 
     def test_a_near_k4_piece_has_one_key_under_relabelling(self):
+        # no refinement round splits a depth class of a near-K4 block, so
+        # its first key is its refined key, whatever the labels
         piece = next(pieces_of(gadget_tree(1, 0)))
-        keys = {canonical_edges(relabeled(piece, seed))[0] for seed in range(60)}
+        keys = set()
+        for seed in range(60):
+            read = read_of(relabeled(piece, seed))
+            keys |= {read.first[0], normal7_pipeline._canonical_edges(read)[0]}
         assert len(keys) == 1
+
+    def test_the_read_and_the_refined_key_match_the_reference(self):
+        # pieces read off g: every bridged census graph up to 14 vertices,
+        # trees at the benchmark's sizes, and piece-copy trees
+        graphs = [g for g in cubic_census_upto(14) if find_bridges(g)]
+        graphs += benchmark_trees(0) + benchmark_trees(1)
+        graphs += [relabeled(piece_copy_tree(copies, seed), seed) for seed in range(3) for copies in (2, 12)]
+        for g in graphs:
+            for verts in build_glue_forest(g).components:
+                if len(verts) == 1:
+                    continue
+                invariant, adj, depth, rows = reference_piece_profile(g, verts)
+                read = normal7_pipeline._read_piece(g, verts, Everything())
+                assert (read.invariant, read.depth, read.rows) == (invariant, depth, rows)
+                assert [sorted(a) for a in read.adj] == [sorted(a) for a in adj]
+                assert normal7_pipeline._canonical_edges(read) == reference_canonical_edges(adj, depth, rows)
+                # the read keys a piece only when its invariant is shared
+                assert normal7_pipeline._read_piece(g, verts, ()) == read._replace(first=None)
 
     def colored_sizes(self, monkeypatch, g, steps):
         """The vertex counts of the graphs color_degree13_graph colors, its
@@ -667,7 +791,7 @@ class TestPieceMemo:
         assert sorted(twelve) == sorted(two)
 
     def test_a_piece_is_read_off_g_as_the_built_piece(self):
-        # the rows _piece_profile reads off g are the edges of the piece that
+        # the rows _read_piece reads off g are the edges of the piece that
         # induced_subgraph and attach_pendant build, in their order, each
         # labelled with the id in g of the edge it is or stands for
         for g in cubic_census_upto(14):
@@ -682,7 +806,7 @@ class TestPieceMemo:
                     if sub.degree(v) == 2:
                         sub, _, pe = attach_pendant(sub, v)
                         (ids[pe],) = set(g.incident(verts[v])) - set(emap)
-                rows = normal7_pipeline._piece_profile(g, verts).rows
+                rows = normal7_pipeline._read_piece(g, verts, ()).rows
                 assert [(e, {u, v}) for e, u, v in rows] == [(ids[loc], {u, v}) for loc, u, v in sub.edges()]
 
     def built_and_colored(self, monkeypatch, g):
@@ -723,6 +847,36 @@ class TestPieceMemo:
         for copies in (2, 12):
             built, colored = self.built_and_colored(monkeypatch, relabeled(piece_copy_tree(copies, seed), seed))
             assert built == colored == 2
+
+    def refined_keys(self, monkeypatch, g):
+        """How many refined keys normal7_coloring computes while it colors g;
+        the first keys, which _read_piece numbers unrefined, do not count."""
+        calls = []
+        keyed = normal7_pipeline._canonical_edges
+
+        def counted(piece, refine=True):
+            if refine:
+                calls.append(piece)
+            return keyed(piece, refine)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(normal7_pipeline, "_canonical_edges", counted)
+            assert is_normal(normal7_coloring(g))[0]
+        return len(calls)
+
+    def test_a_gadget_tree_computes_one_refined_key(self, monkeypatch):
+        # the first block is keyed both ways once the second shares its
+        # invariant, and the 201 later blocks all match its first key
+        assert self.refined_keys(monkeypatch, gadget_tree(200, 4)) == 1
+
+    @pytest.mark.parametrize("seed, counts", [(0, (3, 10)), (1, (3, 11)), (2, (3, 11))])
+    def test_refined_keys_on_piece_copy_trees(self, monkeypatch, seed, counts):
+        # one for the first copy and one for the first near-K4 block, keyed
+        # both ways; then one per relabelled copy whose first key matches
+        # no earlier copy's
+        assert tuple(
+            self.refined_keys(monkeypatch, relabeled(piece_copy_tree(copies, seed), seed)) for copies in (2, 12)
+        ) == counts
 
     def test_a_gadget_tree_with_12010_vertices(self):
         hubs = 2000
