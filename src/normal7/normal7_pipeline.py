@@ -276,19 +276,6 @@ def _verified_statuses(flow: GroupFlow, status: str, *marked: int) -> GroupFlow:
     return flow
 
 
-def _vertex_disjoint_2_cuts(g: PseudoGraph) -> Tuple[List[EdgeCut], bool]:
-    """(2-cuts whose four endpoints are distinct, any-2-cut-exists flag)."""
-    cuts = find_2_edge_cuts(g)
-    disjoint = []
-    for c in cuts:
-        pts: Set[int] = set()
-        for d in c.pair:
-            pts.update(g.endpoints(d))
-        if len(pts) == 4:
-            disjoint.append(c)
-    return disjoint, bool(cuts)
-
-
 # ---------------------------------------------------------------------------
 # flows with one poor edge
 
@@ -319,13 +306,14 @@ def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
         assert len(ids) == 3
         return GroupFlow(g, 3, {d: i + 1 for i, d in enumerate(ids)})
 
-    disjoint_cuts, any_cut = _vertex_disjoint_2_cuts(g)
-    if any_cut:
+    cuts = find_2_edge_cuts(g)
+    if cuts:
         # a 2-cut with a repeated endpoint would need a parallel pair, and
         # any parallel pair's complementary third edges form a cut with four
         # distinct endpoints, so a vertex-disjoint cut always exists here
-        assert disjoint_cuts, "2-cut exists but no vertex-disjoint one"
-        cut = disjoint_cuts[0]
+        cut = next(
+            c for c in cuts if len({v for d in c.pair for v in g.endpoints(d)}) == 4
+        )
         pa, pb, _ = two_cut_reduction(g, cut, strict=True)
         assert pa.graph.num_vertices < g.num_vertices
         assert pb.graph.num_vertices < g.num_vertices
@@ -478,6 +466,31 @@ def _rich_pair_base(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     return flow
 
 
+def _rich_frame(h: PseudoGraph, w: int, exclude: int) -> Tuple[GroupFlow, int, int, int]:
+    """(theta, x, y, z): a flow making the edges a < b at w other than exclude
+    rich, read as a frame.  The far ends of a and b see {x, y} and {x, z}.
+
+    Then a = x ^ y, b = x ^ z and exclude = y ^ z (an edge stands for its
+    value), and x ^ y ^ z is the one value absent from the seven edges near
+    w.  Proof: a, b and exclude are the nonzero values of a subgroup H of
+    order 4.  Richness keeps the pair at a's far end off H, so it is a pair
+    of the coset C = Z_2^3 - H that differs by a (conservation); the pair at
+    b's far end is one that differs by b.  Those take one value from each
+    pair differing by a, so the two pairs share exactly one value x.
+    Conservation at a's and b's far ends and at w gives the three edge
+    values.  The values near w are H's three and x, y, z; C's fourth,
+    x ^ y ^ z, is absent (a coset of H sums to 0).
+    """
+    a, b = _others_at(h, w, exclude)
+    theta = flow_two_adjacent_rich(h, a, b)
+    s1 = set(_flow_values_at(theta, _far_endpoint(h, a, w), a))
+    s2 = set(_flow_values_at(theta, _far_endpoint(h, b, w), b))
+    shared = s1 & s2
+    verify_or_raise(len(shared) == 1, "two rich edges' far ends share no single value")
+    x = shared.pop()
+    return theta, x, (s1 - {x}).pop(), (s2 - {x}).pop()
+
+
 # ---------------------------------------------------------------------------
 # the pendant-block gadget
 
@@ -488,9 +501,8 @@ class PendantBlockInput:
     the gadget g_prime made by subdividing e at v_e and hanging a pendant
     leaf off v_e.
 
-    half_u and half_w are the subdivision halves at u and w, bridge is the
-    pendant edge, and w1, w2 are the far endpoints of w's other two edges
-    in ascending edge-id order.  Subdividing e must leave g_prime simple:
+    half_u and half_w are the subdivision halves at u and w, and bridge is
+    the pendant edge.  Subdividing e must leave g_prime simple:
     every parallel class of g is either trivial or exactly {e, partner}.
     """
 
@@ -498,8 +510,6 @@ class PendantBlockInput:
     e: int
     u: int
     w: int
-    w1: int
-    w2: int
     g_prime: PseudoGraph
     v_e: int
     half_u: int
@@ -524,9 +534,6 @@ class PendantBlockInput:
                 raise ValueError(
                     "subdividing the marked edge must leave a simple graph"
                 )
-        others = _others_at(g, w, e)
-        w1 = _far_endpoint(g, others[0], w)
-        w2 = _far_endpoint(g, others[1], w)
         g1, v_e, (half_u, half_w) = subdivide_edge(g, e)
         g_prime, leaf, bridge = attach_pendant(g1, v_e)
         assert g_prime.is_simple()
@@ -535,8 +542,6 @@ class PendantBlockInput:
             e=e,
             u=u,
             w=w,
-            w1=w1,
-            w2=w2,
             g_prime=g_prime,
             v_e=v_e,
             half_u=half_u,
@@ -561,23 +566,9 @@ def _case_three_ec(
     block: PendantBlockInput, steps: List[CertificateStep]
 ) -> EdgeColoring:
     g, e = block.g, block.e
-    others_w = _others_at(g, block.w, e)
-    theta = flow_two_adjacent_rich(g, others_w[0], others_w[1])
-    s1 = set(_flow_values_at(theta, block.w1, others_w[0]))
-    s2 = set(_flow_values_at(theta, block.w2, others_w[1]))
-    shared = s1 & s2
-    assert len(shared) == 1
-    x = shared.pop()
-    y = (s1 - {x}).pop()
-    z = (s2 - {x}).pop()
-    assert theta.values[others_w[0]] == x ^ y
-    assert theta.values[others_w[1]] == x ^ z
-    assert theta.values[e] == y ^ z
-    assert x ^ y ^ z != 0
+    theta, x, y, z = _rich_frame(g, block.w, e)
+    # the pair at u sums to y ^ z: {x ^ y, x ^ z}, {x, x ^ y ^ z} or {y, z}
     t_set = set(_flow_values_at(theta, block.u, e))
-    t1, t2 = sorted(t_set)
-    assert t1 ^ t2 == y ^ z
-    assert t_set in ({x ^ y, x ^ z}, {x, x ^ y ^ z}, {y, z})
     tag = (
         CaseTag.ThreeEC_Case1
         if t_set == {x ^ y, x ^ z}
@@ -707,16 +698,11 @@ def _case_ladder_avoids_e(
     status2 = edge_status(c2, arising_r)
 
     partial = {c2.colors[arising_r]: x}
+    partial.update(zip(s_u, t_u))
     if status1 == EdgeStatus.RICH and status2 == EdgeStatus.RICH:
         # five distinct source values map to five distinct targets, lining
         # both rail seams up as poor edges
-        for src, dst in zip(s_u, t_u):
-            partial[src] = dst
-        for src, dst in zip(s_v, t_v):
-            partial[src] = dst
-    else:
-        for src, dst in zip(s_u, t_u):
-            partial[src] = dst
+        partial.update(zip(s_v, t_v))
     perm = _extend_palette_perm(partial)
     _record(steps, CaseTag.LadderAvoidsE, g, (e,), perm)
 
@@ -745,19 +731,11 @@ def _rich_end_flow(
 
     Returns (flow, arising value, absent value, arising edge id); the absent
     value is the unique element of 1..7 not appearing on the seven edges at
-    distance <= 1 from the image of w_orig.
+    distance <= 1 from the image of w_orig (see _rich_frame).
     """
-    h = piece.graph
-    w_hat = piece.vmap[w_orig]
     arising = piece.arising[0]
-    o1, o2 = _others_at(h, w_hat, arising)
-    theta = flow_two_adjacent_rich(h, o1, o2)
-    near = {theta.values[arising], theta.values[o1], theta.values[o2]}
-    for d, vv in ((o1, _far_endpoint(h, o1, w_hat)), (o2, _far_endpoint(h, o2, w_hat))):
-        near.update(_flow_values_at(theta, vv, d))
-    absent = set(range(1, 8)) - near
-    assert len(absent) == 1, "rich end flow must miss exactly one value nearby"
-    return theta, theta.values[arising], absent.pop(), arising
+    theta, x, y, z = _rich_frame(piece.graph, piece.vmap[w_orig], arising)
+    return theta, y ^ z, x ^ y ^ z, arising
 
 
 def _align_second_end(
@@ -874,10 +852,9 @@ def _case_ladder_template(
     for eid, s in sym.items():
         assert eid not in colors
         colors[eid] = lookup[s]
-    hu, hw = block.u, block.w
-    assert set(halves) == {hu, hw}
-    colors[block.half_u] = lookup[halves[hu]]
-    colors[block.half_w] = lookup[halves[hw]]
+    assert set(halves) == {block.u, block.w}
+    colors[block.half_u] = lookup[halves[block.u]]
+    colors[block.half_w] = lookup[halves[block.w]]
     colors[block.bridge] = lookup["yz"]
     return _finish_block_coloring(block, colors, steps)
 
@@ -889,8 +866,7 @@ def _case_initial_edge(
     block: PendantBlockInput, lad: Ladder, steps: List[CertificateStep]
 ) -> EdgeColoring:
     g, e = block.g, block.e
-    m = lad.m
-    if e in (lad.u_edges[0], lad.v_edges[0]) and m > 1:
+    if e in (lad.u_edges[0], lad.v_edges[0]) and lad.m > 1:
         lad = _flip_ladder(lad)
     if e == lad.v_edges[lad.m - 1]:
         lad = _swap_rails(lad)
@@ -903,25 +879,10 @@ def _case_initial_edge(
     p_h2 = pb if p_h1 is pa else pa
     assert lad.u_rail[m] in p_h2.vmap
 
-    w_hat = p_h2.vmap[lad.u_rail[m]]
+    # frame at the far endpoint of e; the arising edge carries y_f ^ z_f
     a2 = p_h2.arising[0]
-    ew1, ew2 = _others_at(p_h2.graph, w_hat, a2)
-    theta2 = flow_two_adjacent_rich(p_h2.graph, ew1, ew2)
-    # frame at the far endpoint of e: x_f on the third edge's side, y_f and
-    # z_f so that the arising edge carries y_f ^ z_f
-    s1 = set(
-        _flow_values_at(theta2, _far_endpoint(p_h2.graph, ew1, w_hat), ew1)
-    )
-    s2 = set(
-        _flow_values_at(theta2, _far_endpoint(p_h2.graph, ew2, w_hat), ew2)
-    )
-    shared = s1 & s2
-    assert len(shared) == 1
-    xf = shared.pop()
-    yf = (s1 - {xf}).pop()
-    zf = (s2 - {xf}).pop()
-    x = theta2.values[a2]
-    assert x == yf ^ zf
+    theta2, xf, yf, zf = _rich_frame(p_h2.graph, p_h2.vmap[lad.u_rail[m]], a2)
+    x = yf ^ zf
 
     theta1 = nz_z23_flow(p_h1.graph)
     a1 = p_h1.arising[0]

@@ -112,6 +112,13 @@ class TestColor:
         assert rc == EXIT_INPUT
         assert "vertex 0" in err and "degree 2" in err
 
+    def test_cubic_multigraph_is_input_error(self, capsys, monkeypatch):
+        rc, _, err = run(
+            capsys, ["color"], stdin="2 3\n0 1\n0 1\n0 1\n", monkeypatch=monkeypatch
+        )
+        assert rc == EXIT_INPUT
+        assert "loop or parallel edges" in err
+
     def test_vertex_count_beyond_the_edges_is_input_error(self, capsys, monkeypatch):
         rc, _, err = run(capsys, ["color"], stdin="1000000000 0\n", monkeypatch=monkeypatch)
         assert rc == EXIT_INPUT

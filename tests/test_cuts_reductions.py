@@ -1,6 +1,7 @@
 """Bridges, small cuts, cut reductions, splice identity, and ladders."""
 
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -20,13 +21,16 @@ from normal7.cuts_reductions import (
 )
 from normal7.graph_core import PseudoGraph, VerificationError
 from tests.corpora import (
+    diamond_lobe_pair,
     fig6_graph,
     k4,
     k33,
     long_ladder_graph,
+    petersen,
     prism,
     random_simple_graph,
     theta_graph,
+    two_bridge_chain,
 )
 
 
@@ -185,6 +189,44 @@ class TestStarProduct:
             star_product(g, 0, k4(), 0)
 
 
+def rail_ladder(g: PseudoGraph, u_rail, v_rail) -> Ladder:
+    """The Ladder on the given rails, its edges looked up in g."""
+
+    def between(pairs):
+        return tuple(g.edges_between(a, b)[0] for a, b in pairs)
+
+    return Ladder(
+        tuple(u_rail),
+        tuple(v_rail),
+        between(zip(u_rail, u_rail[1:])),
+        between(zip(v_rail, v_rail[1:])),
+        between(zip(u_rail[1:-1], v_rail[1:-1])),
+    )
+
+
+# the long ladder's rails; its rail edges are 0-2 and 3-5, its rungs 6 and 7
+LONG_RAILS = ((0, 1, 2, 3), (4, 5, 6, 7))
+
+# (what is wrong, graph, rails, ladder fields replaced): one case for each
+# way validate_ladder rejects
+MALFORMED = [
+    ("no_rail_pair", long_ladder_graph, ((0,), (4,)), {}),
+    ("short_rail", long_ladder_graph, LONG_RAILS, {"u_rail": (0, 1, 2)}),
+    ("missing_rail_edge", long_ladder_graph, LONG_RAILS, {"v_edges": (3, 4)}),
+    ("repeated_vertex", long_ladder_graph, LONG_RAILS, {"v_rail": (4, 5, 6, 3)}),
+    ("rail_edge_out_of_place", long_ladder_graph, LONG_RAILS, {"u_edges": (1, 0, 2)}),
+    ("rung_out_of_place", long_ladder_graph, LONG_RAILS, {"rungs": (7, 6)}),
+    ("unknown_edge_id", long_ladder_graph, LONG_RAILS, {"rungs": (6, 99)}),
+    # 0 and 5 are adjacent in the Petersen graph
+    ("chord", petersen, ((0, 1), (7, 5)), {}),
+    # the Petersen graph is 3-edge-connected
+    ("rail_pair_not_a_cut", petersen, ((0, 1), (7, 9)), {}),
+    ("v_rail_reversed", lambda: diamond_lobe_pair(1), ((0, 4), (5, 1)), {}),
+    # the bridge (4, 5) and the lobe edge (0, 1) beside it
+    ("rail_pair_not_crossing", two_bridge_chain, ((0, 1), (4, 5)), {}),
+]
+
+
 class TestLadders:
     def test_fig6_ladder_from_either_cut(self):
         g = fig6_graph()
@@ -215,6 +257,15 @@ class TestLadders:
         # Truncated ladder ends at an adjacent pair, which is not allowed.
         bad2 = Ladder(L.u_rail[:3], L.v_rail[:3], L.u_edges[:2], L.v_edges[:2], L.rungs[:1])
         assert not validate_ladder(g, bad2)
+
+    @pytest.mark.parametrize(
+        "build, rails, changes", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+    )
+    def test_validate_rejects_each_malformation(self, build, rails, changes):
+        # ladder_containing's growth checks no rail pair; validate_ladder is
+        # the one check that every rail pair is a 2-cut splitting the rails
+        g = build()
+        assert not validate_ladder(g, replace(rail_ladder(g, *rails), **changes))
 
     def test_an_invalid_grown_ladder_raises(self, monkeypatch):
         monkeypatch.setattr(cuts_reductions, "validate_ladder", lambda g, L: False)

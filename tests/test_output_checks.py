@@ -2,7 +2,8 @@
 python -O, which strips asserts.
 
 Each fault replaces one name the check's function calls, so that the
-function builds a wrong result and its own check must catch it.
+function builds a wrong result and its own check must catch it.  Without a
+fault, the pinned golden digests hold under python -O as well.
 """
 
 import os
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from normal7 import certify, coloring_solver, flows_trees, matching
+from normal7 import certify, coloring_solver, flows_trees, matching, normal7_pipeline
 from normal7.graph_core import PseudoGraph, VerificationError
+from normal7.normal7_pipeline import PendantBlockInput, color_pendant_block
 from tests.corpora import k4, k5, petersen
+from tests.test_golden_outputs import CERTIFY_DIGEST, FLOW_DIGEST, GOLDEN_DIGEST
 
 
 _real_pack = flows_trees._pack_spanning_trees
@@ -102,6 +105,16 @@ FAULTS = [
         "missed or repeated",
     ),
     (
+        # edge 1 at w = 1 left poor: its far end repeats the values of edges
+        # 0 and 11 at w, and the far end of edge 11, rich, shares neither
+        "rich_frame",
+        normal7_pipeline,
+        "flow_two_adjacent_rich",
+        lambda g, e, f: normal7_pipeline.flow_edge_poor(g, e),
+        lambda: color_pendant_block(PendantBlockInput.from_edge(petersen(), 0)),
+        "far ends share no single value",
+    ),
+    (
         "certify_k33_three_rich",
         certify,
         "_three_rich_sweep",
@@ -138,11 +151,24 @@ def test_a_wrong_result_raises(monkeypatch, module, name, fake, call, message):
         call()
 
 
+def run_optimized(script):
+    """The lines script prints under python -O; it must fail if asserts run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", 'assert False, "asserts are on"\n' + script],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 def test_the_checks_survive_optimize():
     script = """
 from tests.test_output_checks import FAULTS
 from normal7.graph_core import VerificationError
-assert False, "asserts are on"
 for _, module, name, fake, call, _ in FAULTS:
     real = getattr(module, name)
     setattr(module, name, fake)
@@ -153,13 +179,32 @@ for _, module, name, fake, call, _ in FAULTS:
     finally:
         setattr(module, name, real)
 """
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
+    lines = run_optimized(script)
     assert len(lines) == len(FAULTS)
     for line, fault in zip(lines, FAULTS):
         assert fault[-1] in line
+
+
+def test_the_golden_digests_hold_under_optimize():
+    # the pipeline proves what its asserts state; with them stripped the
+    # outputs must not change
+    script = """
+import contextlib, hashlib, io
+from normal7.cli import main
+from tests.test_golden_outputs import flow_rows, output_rows
+
+def digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(row.encode() + b"\\n")
+    return h.hexdigest()
+
+certified = io.StringIO()
+with contextlib.redirect_stdout(certified):
+    rc = main(["certify", "--all"])
+print(rc)
+print(digest(output_rows()))
+print(hashlib.sha256(certified.getvalue().encode()).hexdigest())
+print(digest(flow_rows()))
+"""
+    assert run_optimized(script) == ["0", GOLDEN_DIGEST, CERTIFY_DIGEST, FLOW_DIGEST]

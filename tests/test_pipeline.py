@@ -3,6 +3,8 @@ degree-1/3 recursion, bridge glue, and the replay certificates."""
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -33,6 +35,7 @@ from normal7.normal7_pipeline import (
     normal7_coloring,
 )
 from perfbench import generators as gen
+from perfbench import workloads
 from perfbench.workloads import GADGET_HUBS
 from tests.corpora import (
     cubic_census_upto,
@@ -51,7 +54,7 @@ from tests.corpora import (
     three_bridge_star,
     two_bridge_chain,
 )
-from tests.test_golden_outputs import relabeled
+from tests.test_golden_outputs import builds as golden_builds, relabeled
 from tools.verify_sweep import piece_copies
 
 
@@ -188,6 +191,7 @@ class TestPendantBlock:
             (1, 2, 3),   # lobe edge away from the ladder
             (1, 0, 4),   # boundary rail edge
             (3, 4, 6),   # interior rail edge
+            (3, 5, 7),   # interior rail edge on the other rail
             (3, 4, 5),   # first rung
             (3, 6, 7),   # last rung
             (4, 6, 8),   # interior rail, longer ladder
@@ -205,6 +209,7 @@ class TestPendantBlock:
         assert cases == [
             CaseTag.LadderAvoidsE,
             CaseTag.InitialEdge,
+            CaseTag.Horizontal,
             CaseTag.Horizontal,
             CaseTag.Vertical,
             CaseTag.Vertical,
@@ -268,6 +273,40 @@ class TestPendantBlock:
                 block = PendantBlockInput.from_edge(g, e)
                 col = color_pendant_block(block)
                 block_statuses(block, col)
+
+
+class TestRichFrame:
+    """Every frame _rich_frame reads satisfies the identities its docstring
+    proves; the pipeline no longer asserts them at the call sites."""
+
+    def test_frames_satisfy_their_identities(self, monkeypatch):
+        real = normal7_pipeline._rich_frame
+        callers = set()
+
+        def checked(h, w, exclude):
+            callers.add(sys._getframe(1).f_code.co_name)
+            frame = real(h, w, exclude)
+            theta, x, y, z = frame
+            values = theta.values
+            a, b = sorted(d for d in h.incident(w) if d != exclude)
+            assert (values[a], values[b], values[exclude]) == (x ^ y, x ^ z, y ^ z)
+            near = [values[d] for d in (a, b, exclude)]
+            for d in (a, b):
+                far = h.other_endpoint(d, w)
+                near += [values[c] for c in h.incident(far) if c != d]
+            assert len(near) == 7 and len(set(near)) == 6
+            assert set(range(1, 8)) - set(near) == {x ^ y ^ z}
+            return frame
+
+        monkeypatch.setattr(normal7_pipeline, "_rich_frame", checked)
+        graphs = [g for g in cubic_census_upto(14) if find_bridges(g)]
+        graphs += [g for g in golden_builds() if g.is_simple()]
+        for g in graphs:
+            assert is_normal(normal7_coloring(g))[0]
+        for ops in workloads.build("structured", 1, Path(__file__).resolve().parents[1]).rounds:
+            for op in ops:
+                assert workloads.check(op, workloads.call(op)) is None
+        assert callers == {"_case_three_ec", "_case_initial_edge", "_rich_end_flow"}
 
 
 class TestDegree13:
