@@ -122,12 +122,15 @@ def is_normal(c: EdgeColoring) -> Tuple[bool, Dict[int, EdgeStatus]]:
 def require_loopless_subcubic(g: PseudoGraph) -> None:
     """Raise ValueError unless g has no loop and no vertex of degree above 3,
     the precondition of the solver and of reading a flow as a coloring."""
-    for eid in g.edge_ids():
-        if g.is_loop(eid):
+    degree = [0] * g.num_vertices
+    for _, u, v in g.edges():
+        if u == v:
             raise ValueError("graph must be loopless")
-    for v in g.vertices():
-        if g.degree(v) > 3:
-            raise ValueError(f"maximum degree 3 required: vertex {v} has degree {g.degree(v)}")
+        degree[u] += 1
+        degree[v] += 1
+    for v, d in enumerate(degree):
+        if d > 3:
+            raise ValueError(f"maximum degree 3 required: vertex {v} has degree {d}")
 
 
 def coloring_from_flow(f: GroupFlow) -> EdgeColoring:

@@ -3,15 +3,18 @@
 Group elements of Z_2^k are stored as k-bit ints; addition is xor.  The
 generator convention is fixed project-wide: x = 001, y = 010, z = 100.
 
-Every tree flow comes from one tree representation: the packer returns
-edge-disjoint spanning trees as rooted forests (flat parent-vertex and
-parent-edge lists, -1 at a root), and each flow is read off them.  A
-tree's parity subgraph, found by one children-first walk of its parent
-pointers, has an even complement; bit i of an edge's value is set when the
-edge lies outside the i-th parity subgraph.  A fundamental cycle is the
-tree's own path between the ends of a non-tree edge.  The Z_2^3 flow of a
-3-edge-connected graph packs three trees in its doubled graph, where
-copies 2i and 2i + 1 stand for the i-th edge.
+Every tree flow comes from one tree representation: the packer takes an
+ends list (ends[eid] = (u, v), None at a hole) and a vertex count, no graph,
+and returns edge-disjoint spanning trees as rooted forests (flat
+parent-vertex and parent-edge lists, -1 at a root); each flow is read off
+them.  A tree's parity subgraph, found by one children-first walk of its
+parent pointers, has an even complement; bit i of an edge's value is set
+when the edge lies outside the i-th parity subgraph.  A fundamental cycle
+is the tree's own path between the ends of a non-tree edge.  The Z_2^3
+flow of a 3-edge-connected graph packs three trees in its doubled graph,
+written as ends straight from g: copies 2i and 2i + 1 stand for the i-th
+edge.  The Z_2^2 flows that pin edges e and f pack two trees in g's ends
+with holes at e and f.
 """
 
 from __future__ import annotations
@@ -145,18 +148,25 @@ class _RootedForest:
     ids to endpoints, as built by _edge_ends.
 
     A merge-only union-find over the trees rides along (up[v] leads towards
-    the representative of v's tree), joined in link and never split.  The
-    packer only exchanges an edge for one on the forest path between its
-    ends, which leaves the vertex partition of a forest as it was, so a
-    tree partition that only ever merges is all the packer needs."""
+    the representative of v's tree), joined in link and never split, and
+    read by _open_forest.  The packer only exchanges an edge for one on the
+    forest path between its ends, which leaves the vertex partition of a
+    forest as it was, so a tree partition that only ever merges is all the
+    packer needs.  path marks its two walks in four arrays kept with the
+    forest: a vertex is on a walk when its mark equals the query's stamp."""
 
-    __slots__ = ("ends", "par", "pedge", "up")
+    __slots__ = ("ends", "par", "pedge", "up", "stamp", "s_on", "t_on", "s_at", "t_at")
 
     def __init__(self, ends: List[Optional[Tuple[int, int]]], n: int):
         self.ends = ends
         self.par = [-1] * n
         self.pedge = [-1] * n
         self.up = list(range(n))
+        self.stamp = 0
+        self.s_on = [0] * n  # stamp of the last s-walk through v
+        self.t_on = [0] * n
+        self.s_at = [0] * n  # edges below v on that walk
+        self.t_at = [0] * n
 
     def _find(self, v: int) -> int:
         up = self.up
@@ -166,21 +176,6 @@ class _RootedForest:
         while up[v] != root:
             up[v], v = root, up[v]
         return root
-
-    def same_tree(self, s: int, t: int) -> bool:
-        """Whether s and t lie in one tree, read off the union-find alone:
-        both finds, then both path compressions, in one call."""
-        up = self.up
-        a, b = s, t
-        while up[a] != a:
-            a = up[a]
-        while up[b] != b:
-            b = up[b]
-        while up[s] != a:
-            up[s], s = a, up[s]
-        while up[t] != b:
-            up[t], t = b, up[t]
-        return a == b
 
     def holds(self, eid: int) -> bool:
         """Whether edge eid is in this forest: the parent edge of one of its ends."""
@@ -195,27 +190,31 @@ class _RootedForest:
         Walks up from s and t in turns; the first vertex either walk finds
         on the other's trail is their lowest common ancestor."""
         par, pedge = self.par, self.pedge
+        s_on, t_on, s_at, t_at = self.s_on, self.t_on, self.s_at, self.t_at
+        self.stamp = q = self.stamp + 1
+        s_on[s] = t_on[t] = q
+        s_at[s] = t_at[t] = 0
         s_edges: List[int] = []
         t_edges: List[int] = []
-        s_seen = {s: 0}  # vertex on the s-walk -> edges below it on that walk
-        t_seen = {t: 0}
         a, b = s, t
         while True:
-            if a in t_seen:
-                return t_edges[: t_seen[a]] + s_edges[::-1]
-            if b in s_seen:
-                return t_edges + s_edges[: s_seen[b]][::-1]
+            if t_on[a] == q:
+                return t_edges[: t_at[a]] + s_edges[::-1]
+            if s_on[b] == q:
+                return t_edges + s_edges[: s_at[b]][::-1]
             up_a, up_b = par[a], par[b]
             if up_a < 0 and up_b < 0:
                 return None
             if up_a >= 0:
                 s_edges.append(pedge[a])
                 a = up_a
-                s_seen[a] = len(s_edges)
+                s_on[a] = q
+                s_at[a] = len(s_edges)
             if up_b >= 0:
                 t_edges.append(pedge[b])
                 b = up_b
-                t_seen[b] = len(t_edges)
+                t_on[b] = q
+                t_at[b] = len(t_edges)
 
     def link(self, eid: int) -> None:
         """Add edge eid: re-root the tree of one endpoint there and hang it
@@ -280,10 +279,27 @@ class _RootedForest:
 
 def _open_forest(owner: List[int], trees: List[_RootedForest], x: int) -> int:
     """The first forest other than x's own in which x's ends lie in
-    different trees, so that x may enter it directly, or -1."""
+    different trees, so that x may enter it directly, or -1.
+
+    Reads each forest's union-find (tree.up, at every query): both finds,
+    then both path compressions."""
     u, v = trees[0].ends[x]  # type: ignore[misc]
+    own = owner[x]
     for i, tree in enumerate(trees):
-        if i != owner[x] and not tree.same_tree(u, v):
+        if i == own:
+            continue
+        up = tree.up
+        a, b = u, v
+        while up[a] != a:
+            a = up[a]
+        while up[b] != b:
+            b = up[b]
+        s, t = u, v
+        while up[s] != a:
+            up[s], s = a, up[s]
+        while up[t] != b:
+            up[t], t = b, up[t]
+        if a != b:
             return i
     return -1
 
@@ -378,12 +394,17 @@ def _is_spanning_tree(ends: Sequence[Optional[Tuple[int, int]]], n: int, edges: 
     return True
 
 
-def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
-    """k edge-disjoint spanning trees of g as rooted forests, or PackingError.
+def _pack_spanning_trees(
+    ends: List[Optional[Tuple[int, int]]], n: int, k: int
+) -> List[_RootedForest]:
+    """k edge-disjoint spanning trees of the graph on n vertices whose edge
+    eid joins ends[eid] (None at a hole), as rooted forests, or PackingError.
 
+    Callers write ends straight from their graph: nz_z23_flow's doubled
+    graph, or g with holes at the edges a constrained flow sets aside.
     Matroid-union augmentation over the edges in id order (loops skipped).
     The only state is one _RootedForest per forest (flat parent-vertex and
-    parent-edge lists and a union-find, over one ends array) plus
+    parent-edge lists and a union-find, over the one ends list) plus
     owner[eid], the index of the forest holding each edge, or -1.  An edge
     whose ends lie in different trees of a forest is linked there at once;
     otherwise an exchange query walks up from the two endpoints instead of
@@ -394,16 +415,20 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
     close a cycle, and cut on an edge the forest does not hold.  The
     forests are returned as they are, the one tree representation every
     flow here is built from; each is checked once, by a union-find pass
-    over its edges, to be a spanning tree.  Connectivity is searched only
-    when a packing comes up short, to name the reason.
+    over its edges, to be a spanning tree.  Where a forest is rooted
+    depends on the order of links and cuts, but no output does: a tree's
+    parity subgraph and its paths are the same from any root.
 
     The loop stops once k(n-1) edges are packed: every forest is then a
     spanning tree, so each later edge has its ends in one tree of every
     forest and its augmentation could only fail, after searching the whole
     exchange graph, without changing a forest.  The result is the same.
+    A packing that comes up short has seen every edge, and forest 0 then
+    spans each component of the graph: an edge whose ends lie in two of
+    its trees enters it directly, and an exchange never splits a forest's
+    vertex partition.  So forest 0 falls short exactly when the graph is
+    disconnected.
     """
-    n = g.num_vertices
-    ends = _edge_ends(g)
     trees = [_RootedForest(ends, n) for _ in range(k)]
     if n <= 1:
         return trees
@@ -415,9 +440,9 @@ def _pack_spanning_trees(g: PseudoGraph, k: int) -> List[_RootedForest]:
         if uv is not None and uv[0] != uv[1] and _try_augment(owner, trees, e):
             packed += 1
     forests = [t.edges() for t in trees]
+    if len(forests[0]) != n - 1:
+        raise PackingError("graph is disconnected")
     if any(len(f) != n - 1 for f in forests):
-        if not g.is_connected():
-            raise PackingError("graph is disconnected")
         raise PackingError(f"no packing of {k} edge-disjoint spanning trees")
     for f in forests:
         verify_or_raise(_is_spanning_tree(ends, n, f), "a packed forest is not a spanning tree")
@@ -448,12 +473,10 @@ def flow_two_edges_equal(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     """
     for d in (e, f):
         g.endpoints(d)
-    h = g.copy()
-    h.remove_edge(e)
-    if f != e:
-        h.remove_edge(f)
+    ends = _edge_ends(g)
+    ends[e] = ends[f] = None
     odd = _odd_degrees(g)
-    parities = [t.parity_subgraph(odd) for t in _pack_spanning_trees(h, 2)]
+    parities = [t.parity_subgraph(odd) for t in _pack_spanning_trees(ends, g.num_vertices, 2)]
     flow = verified_nz_flow(GroupFlow(g, 2, _complement_values(g, parities)))
     verify_or_raise(flow.values[e] == flow.values[f], f"edges {e} and {f} got different values")
     return flow
@@ -483,11 +506,10 @@ def flow_three_edges_distinct(g: PseudoGraph, e: int, f: int, gg: int) -> GroupF
     if loops:
         flow = _flow_with_free_loops(g, e, f, gg, loops)
     else:
-        h = g.copy()
-        h.remove_edge(e)
-        h.remove_edge(f)
-        t1, t2 = _pack_spanning_trees(h, 2)
-        if gg != f and t2.holds(gg):  # f is not an edge of h
+        ends = _edge_ends(g)
+        ends[e] = ends[f] = None
+        t1, t2 = _pack_spanning_trees(ends, g.num_vertices, 2)
+        if gg != f and t2.holds(gg):  # f is not packed
             t1, t2 = t2, t1
         odd = _odd_degrees(g)
         cycle = set(t2.path(*g.endpoints(e))) | {e}  # type: ignore[arg-type]
@@ -549,7 +571,7 @@ def nz_z23_flow(g: PseudoGraph) -> GroupFlow:
 
 def _nz3_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
     values: Dict[int, GF2Vector] = {}
-    loops = [e for e in g.edge_ids() if g.is_loop(e)]
+    loops = [e for e, u, v in g.edges() if u == v]
     if loops:
         for e in loops:
             values[e] = X
@@ -590,16 +612,19 @@ def _nz3_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
 
 
 def _nz3_three_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
-    # each packed forest is a spanning tree of the doubled graph, so it
-    # never holds both copies of an edge and maps onto a spanning tree of g;
-    # copies 2i and 2i + 1 stand for the i-th edge in id order
-    copy_to_orig = [e for e in g.edge_ids() for _ in range(2)]
+    # copies 2i and 2i + 1 of the doubled graph stand for the i-th edge in id
+    # order; each packed forest is a spanning tree of the doubled graph, so
+    # it never holds both copies of an edge and maps onto a spanning tree of g
+    ids: List[int] = []
+    ends: List[Optional[Tuple[int, int]]] = []
+    for eid, u, v in g.edges():
+        ids.append(eid)
+        ends += ((u, v), (u, v))
     odd = _odd_degrees(g)
-    parities = [
-        {copy_to_orig[c] for c in t.parity_subgraph(odd)}
-        for t in _pack_spanning_trees(g.doubled(), 3)
-    ]
-    values = _complement_values(g, parities)
+    values = dict.fromkeys(ids, 7)
+    for bit, t in zip((X, Y, Z), _pack_spanning_trees(ends, g.num_vertices, 3)):
+        for c in t.parity_subgraph(odd):
+            values[ids[c >> 1]] &= ~bit
     verify_or_raise(all(values.values()), "the three parity complements leave an edge at zero")
     return values
 

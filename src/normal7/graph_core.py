@@ -188,22 +188,6 @@ class PseudoGraph:
         g._inc = [list(lst) for lst in self._inc]
         return g
 
-    def doubled(self) -> "PseudoGraph":
-        """Every edge twice: the copies of the i-th edge in id order get ids
-        2i and 2i + 1, with incidences as two add_edge calls would give."""
-        g = PseudoGraph(self._n)
-        inc = g._inc
-        for e in self._edges:
-            if e is None:
-                continue
-            u, v = e
-            c = len(g._edges)
-            g._edges += (e, e)
-            for d in (c, c + 1):
-                inc[u].append(d)
-                inc[v].append(d)
-        return g
-
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 

@@ -42,6 +42,7 @@ from typing import Container, Dict, FrozenSet, List, NamedTuple, Optional, Seque
 from normal7.coloring_solver import (
     EdgeColoring,
     EdgeStatus,
+    ImproperColoringError,
     coloring_from_flow,
     edge_status,
     is_normal,
@@ -1097,13 +1098,17 @@ def _verified_normal(
     exempt: FrozenSet[int] = frozenset(),
 ) -> Tuple[EdgeColoring, Dict[int, EdgeStatus]]:
     """The 7-coloring of g by colors with its status report, once is_normal
-    finds every edge outside exempt poor or rich."""
+    finds every edge outside exempt poor or rich.  An edge colored outside
+    1..7 or an improper vertex fails the check like an invalid edge does."""
     if set(colors) != set(g.edge_ids()):
         raise PipelineVerificationError(
             "assembled coloring does not cover exactly the edge set", steps
         )
     col = EdgeColoring(g, 7, colors, exempt=exempt)
-    ok, report = is_normal(col)
+    try:
+        ok, report = is_normal(col)
+    except (ValueError, ImproperColoringError) as exc:
+        raise PipelineVerificationError(f"assembled coloring is improper: {exc}", steps) from exc
     if not ok:
         raise PipelineVerificationError("assembled coloring is not normal", steps)
     return col, report

@@ -138,9 +138,14 @@ class TestVerifyFlow:
             verify_flow(GroupFlow(g, 2, {0: 4, 1: 4}))
 
 
+def pack(g: PseudoGraph, k: int):
+    """The packer's rooted forests for k trees in g, from g's ends list."""
+    return flows_trees._pack_spanning_trees(flows_trees._edge_ends(g), g.num_vertices, k)
+
+
 def pack_two(g: PseudoGraph):
     """The edge sets of the two rooted forests the packer returns."""
-    t1, t2 = flows_trees._pack_spanning_trees(g, 2)
+    t1, t2 = pack(g, 2)
     return t1.edges(), t2.edges()
 
 
@@ -183,7 +188,7 @@ class TestPacking:
             pack_two(petersen())
 
     def test_deterministic(self):
-        first, again = (flows_trees._pack_spanning_trees(k5(), 2) for _ in range(2))
+        first, again = (pack(k5(), 2) for _ in range(2))
         assert [(t.par, t.pedge) for t in first] == [(t.par, t.pedge) for t in again]
 
     def brute_force_packs(self, g):
@@ -289,7 +294,7 @@ SMALL_CUBICS = cubic_census_upto(10)
 
 
 def rooted_pack(g, k):
-    return [t.edges() for t in flows_trees._pack_spanning_trees(g, k)]
+    return [t.edges() for t in pack(g, k)]
 
 
 def packing_or_error(pack, g, k):
@@ -432,11 +437,11 @@ class TestWorkCounts:
     def augmentations(self, monkeypatch, g):
         """(n, k, results of _try_augment) for every packing nz_z23_flow makes."""
         runs = []
-        augment, pack = flows_trees._try_augment, flows_trees._pack_spanning_trees
+        augment, real_pack = flows_trees._try_augment, flows_trees._pack_spanning_trees
 
-        def counted_pack(h, k):
-            runs.append((h.num_vertices, k, []))
-            return pack(h, k)
+        def counted_pack(ends, n, k):
+            runs.append((n, k, []))
+            return real_pack(ends, n, k)
 
         def counted_augment(owner, trees, e):
             runs[-1][2].append(augment(owner, trees, e))
@@ -537,7 +542,7 @@ def odd_degrees(g):
 class TestParitySubgraph:
     def test_cubic_tree_gives_odd_degrees(self):
         g = k4()
-        for tree in flows_trees._pack_spanning_trees(g, 2):
+        for tree in pack(g, 2):
             a = tree.parity_subgraph(odd_degrees(g))
             assert a <= tree.edges()
             for v in g.vertices():
@@ -571,9 +576,9 @@ class TestParitySubgraph:
         # copies 2i and 2i+1 stand for edge i, as in nz_z23_flow's packing
         for _, g in corpus_graphs():
             try:
-                forests = flows_trees._pack_spanning_trees(doubled(g), 3)
+                forests = pack(doubled(g), 3)
             except PackingError:  # g has a 2-edge-cut; its double packs two
-                forests = flows_trees._pack_spanning_trees(doubled(g), 2)
+                forests = pack(doubled(g), 2)
             for tree in forests:
                 got = {c // 2 for c in tree.parity_subgraph(odd_degrees(g))}
                 assert got == parity_subgraph_in_tree(g, {c // 2 for c in tree.edges()})
@@ -614,6 +619,41 @@ class TestEvenSubgraphFlow:
             complement_flow(g, [{0, 1, 2}, {0}])  # edge 0 in neither support
 
 
+class TestNoGraphBuilt:
+    """The tree flows hand the packer an ends list written straight from g:
+    no doubled graph, no copy with edges removed."""
+
+    @pytest.mark.parametrize(
+        "build, flow_of",
+        [
+            (petersen, nz_z23_flow),
+            (k5, nz_z23_flow),
+            (k5, lambda g: flow_two_edges_equal(g, 0, 1)),
+            (k5, lambda g: flow_three_edges_distinct(g, 0, 1, 2)),
+        ],
+        ids=["nz_z23_flow_petersen", "nz_z23_flow_k5", "two_edges_equal_k5", "three_edges_distinct_k5"],
+    )
+    def test_no_graph_is_built(self, monkeypatch, build, flow_of):
+        g = build()
+        built = []
+        init, copy = PseudoGraph.__init__, PseudoGraph.copy
+
+        def spy_init(self, *args):
+            built.append("__init__")
+            init(self, *args)
+
+        def spy_copy(self):
+            built.append("copy")
+            return copy(self)
+
+        monkeypatch.setattr(PseudoGraph, "__init__", spy_init)
+        monkeypatch.setattr(PseudoGraph, "copy", spy_copy)
+        flow = flow_of(g)
+        monkeypatch.undo()
+        assert verify_flow(flow).nowhere_zero
+        assert built == []
+
+
 class TestTreePairFlow:
     def test_four_parallel(self):
         # g-2-3 packs the trees {0} and {1}; edges outside both get x+y
@@ -624,7 +664,7 @@ class TestTreePairFlow:
 
     def test_k4(self):
         g = k4()
-        forests = flows_trees._pack_spanning_trees(g, 2)
+        forests = pack(g, 2)
         flow = complement_flow(g, [t.parity_subgraph(odd_degrees(g)) for t in forests])
         check = verify_flow(flow)
         assert check.conserving and check.nowhere_zero
@@ -760,6 +800,11 @@ class TestNZ23Flow:
             self.assert_good(g)
 
 
+def every_forest_open(owner, trees, x):
+    """A direct-entry query that finds x's ends in two trees of every forest."""
+    return 1 if owner[x] == 0 else 0
+
+
 class TestOutputChecks:
     """A constructed flow is re-checked by a raise, which python -O keeps."""
 
@@ -798,17 +843,17 @@ class TestOutputChecks:
 
 
     def test_a_forest_with_a_cycle_raises(self, monkeypatch):
-        # the same-tree query reports every two vertices as lying in
-        # different trees
-        monkeypatch.setattr(flows_trees._RootedForest, "same_tree", lambda self, s, t: False)
+        # the direct-entry query reports every edge's ends as lying in
+        # different trees of each forest
+        monkeypatch.setattr(flows_trees, "_open_forest", every_forest_open)
         with pytest.raises(VerificationError, match="close a cycle"):
-            flows_trees._pack_spanning_trees(k4(), 2)
+            pack(k4(), 2)
 
     def test_a_union_find_that_joins_every_tree_raises(self, monkeypatch):
         # a path is walked only where the union-find reads one tree
-        monkeypatch.setattr(flows_trees._RootedForest, "same_tree", lambda self, s, t: True)
+        monkeypatch.setattr(flows_trees, "_open_forest", lambda owner, trees, x: -1)
         with pytest.raises(VerificationError, match="union-find joins two trees"):
-            flows_trees._pack_spanning_trees(k4(), 2)
+            pack(k4(), 2)
 
     def test_a_union_find_that_drifts_from_the_forest_raises(self, monkeypatch):
         # the union-find forgets the join of edge 0, so it splits a tree
@@ -823,7 +868,7 @@ class TestOutputChecks:
 
         monkeypatch.setattr(flows_trees._RootedForest, "link", link_forgetting_edge_0)
         with pytest.raises(VerificationError, match="close a cycle"):
-            flows_trees._pack_spanning_trees(k4(), 2)
+            pack(k4(), 2)
 
     def test_overlapping_forests_raise(self, monkeypatch):
         # each forest answers with the path of the next one where it has one
@@ -842,7 +887,7 @@ class TestOutputChecks:
         monkeypatch.setattr(flows_trees._RootedForest, "__init__", register)
         monkeypatch.setattr(flows_trees._RootedForest, "path", next_forests_path)
         with pytest.raises(VerificationError, match="not in the packed forest it leaves"):
-            flows_trees._pack_spanning_trees(k5(), 3)
+            pack(k5(), 3)
 
     def test_a_tree_holding_both_copies_of_an_edge_raises(self, monkeypatch):
         # copies 2i and 2i+1 of edge i: each forest reads as both copies of
@@ -867,6 +912,7 @@ from normal7.graph_core import PseudoGraph, VerificationError
 assert False, "asserts are on"
 RF = ft._RootedForest
 k5 = PseudoGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+ends = ft._edge_ends(k5)
 init, path, link = RF.__init__, RF.path, RF.link
 made = []
 def register(self, *args):
@@ -883,18 +929,18 @@ def link_forgetting_edge_0(self, eid):
         self.up = up
 RF.__init__ = register
 faults = [
-    ("same_tree", lambda self, s, t: False),
-    ("path", next_forests_path),
-    ("link", link_forgetting_edge_0),
+    (ft, "_open_forest", lambda owner, trees, x: 1 if owner[x] == 0 else 0),
+    (RF, "path", next_forests_path),
+    (RF, "link", link_forgetting_edge_0),
 ]
-for name, lie in faults:
-    real = getattr(RF, name)
-    setattr(RF, name, lie)
+for where, name, lie in faults:
+    real = getattr(where, name)
+    setattr(where, name, lie)
     try:
-        ft._pack_spanning_trees(k5, 3)
+        ft._pack_spanning_trees(ends, 5, 3)
     except VerificationError as exc:
         print(exc)
-    setattr(RF, name, real)
+    setattr(where, name, real)
 """
         src = str(Path(flows_trees.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normal7 import flows_trees
+from normal7.flows_trees import PackingError
 from normal7.graph_core import (
     Graph6Error,
     PseudoGraph,
@@ -26,6 +28,7 @@ from normal7.graph_core import (
     write_graph6,
 )
 from tests.corpora import random_pseudograph, random_simple_graph
+from tests.test_flows_trees import doubled
 
 
 class TestContainer:
@@ -120,19 +123,24 @@ class TestContainer:
     @given(st.integers(1, 9), st.integers(0, 20), st.integers(0, 4), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_doubled_is_every_edge_added_twice(self, n, m, holes, seed):
-        # loops, parallel edges and holes in the id range; copies 2i, 2i+1
-        # of the i-th edge, with the incidences of two add_edge calls
+        # loops, parallel edges and holes in the id range: the doubled ends
+        # list nz_z23_flow hands the packer has copies 2i, 2i+1 of the i-th
+        # edge, as a graph with every edge added twice
         rng = random.Random(seed)
         g = random_pseudograph(rng, n, m)
         for e in rng.sample(g.edge_ids(), min(holes, g.num_edges)):
             g.remove_edge(e)
-        want = PseudoGraph(n)
-        for _, u, v in g.edges():
-            want.add_edge(u, v)
-            want.add_edge(u, v)
-        got = g.doubled()
-        assert list(got.edges()) == list(want.edges())
-        assert [got.incident(v) for v in got.vertices()] == [want.incident(v) for v in want.vertices()]
+        seen = []
+
+        def record(ends, n, k):
+            seen.append((list(ends), n, k))
+            raise PackingError("recorded")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flows_trees, "_pack_spanning_trees", record)
+            with pytest.raises(PackingError, match="recorded"):
+                flows_trees._nz3_three_connected(g)
+        assert seen == [(flows_trees._edge_ends(doubled(g)), n, 3)]
 
     @given(st.integers(2, 9), st.integers(0, 20), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

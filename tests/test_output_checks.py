@@ -74,7 +74,7 @@ FAULTS = [
         "nz_z23_flow",  # one tree three times: its parity edges get no value
         flows_trees,
         "_pack_spanning_trees",
-        lambda g, k: _real_pack(g, 1) * k,
+        lambda ends, n, k: _real_pack(ends, n, 1) * k,
         lambda: flows_trees.nz_z23_flow(k4()),
         "leave an edge at zero",
     ),
@@ -95,6 +95,15 @@ FAULTS = [
         lambda self: {0, 1, 2},
         lambda: flows_trees.nz_z23_flow(k4()),
         "a packed forest is not a spanning tree",
+    ),
+    (
+        # is_normal's palette error comes out as the pipeline's own check
+        "verified_normal_color_0",
+        normal7_pipeline,
+        "coloring_from_flow",
+        lambda flow: coloring_solver.EdgeColoring(flow.graph, 7, dict.fromkeys(flow.values, 0)),
+        lambda: normal7_pipeline.normal7_coloring(k4()),
+        "improper: color 0 outside palette",
     ),
     (
         "perfect_matching_through",

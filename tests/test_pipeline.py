@@ -11,7 +11,7 @@ import pytest
 
 from normal7 import cuts_reductions, normal7_pipeline
 from normal7.certify import gadget_block_edges
-from normal7.coloring_solver import EdgeStatus, is_normal
+from normal7.coloring_solver import EdgeColoring, EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 from normal7.flows_trees import flow_edge_status, verify_flow
 from normal7.graph_core import (
@@ -26,6 +26,7 @@ from normal7.normal7_pipeline import (
     CertificateStep,
     IDENTITY_PERMUTATION,
     PendantBlockInput,
+    PipelineVerificationError,
     build_glue_forest,
     color_degree13_graph,
     color_pendant_block,
@@ -1022,3 +1023,14 @@ class TestOutputChecks:
         )
         with pytest.raises(VerificationError, match="glued bridge is not poor"):
             normal7_coloring(two_bridge_chain())
+
+    def test_an_improper_coloring_raises_with_the_steps(self, monkeypatch):
+        # one color on every edge: each vertex clashes
+        monkeypatch.setattr(
+            normal7_pipeline,
+            "coloring_from_flow",
+            lambda flow: EdgeColoring(flow.graph, 7, dict.fromkeys(flow.values, 1)),
+        )
+        with pytest.raises(PipelineVerificationError, match="improper: edges .* share color 1") as err:
+            normal7_coloring(k4())
+        assert [step.tag for step in err.value.trace] == [CaseTag.ManyPendant_t0]
