@@ -16,14 +16,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
 from normal7.certify import CLAIMS, run_claim
 from normal7.coloring_solver import exact_chi_n, is_normal, require_loopless_subcubic
 from normal7.cuts_reductions import find_bridges
-from normal7.flows_trees import PackingError
 from normal7.graph_core import (
     Graph6Error,
     PseudoGraph,
@@ -34,7 +32,6 @@ from normal7.graph_core import (
     write_dot,
     write_graph6,
 )
-from normal7.matching import MatchingError
 from normal7.normal7_pipeline import CertificateStep, normal7_coloring
 
 EXIT_OK = 0
@@ -119,7 +116,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     trace: List[CertificateStep] = []
     try:
         coloring = normal7_coloring(g, trace)
-    except (ValueError, AssertionError, MatchingError, PackingError, VerificationError) as exc:
+    except Exception as exc:
         # every simple cubic graph has a normal 7-coloring, so once the input
         # checks pass any failure is the program's own
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -242,6 +239,10 @@ def _census_records(
         for line in lines:
             yield work(line)
         return
+    # imported here: the pool's modules (multiprocessing among them) load
+    # only for a run that starts one
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map yields in input order, so output order is stable at any job count
         yield from pool.map(work, lines, chunksize=8)

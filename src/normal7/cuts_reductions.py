@@ -6,8 +6,11 @@ big-int labels in place of random ones).  Each edge is labelled by the set
 of fundamental cycles through it, built in O(m) XORs over a search forest.
 A set of edges is an edge cut exactly when its labels XOR to 0: bridges are
 the edges labelled 0, 2-edge-cuts are pairs inside a group of equal labels,
-and 3-edge-cut candidates come from a pair-XOR lookup in O(m^2).  One search
-per returned cut computes its sides.
+and 3-edge-cut candidates come from a pair-XOR lookup in O(m^2).
+two_cut_pairs builds no sides; nontrivial_3_edge_cuts searches a
+candidate's sides only when its iteration reaches it, so a caller that
+takes the least cut pays for no later one.  The find_* lists search once
+per cut for its sides, and a reduction handed an EdgeCut reuses them.
 
 The labelling is computed once per graph state.  cycle_space_labels keeps
 one slot: the last graph it labelled, that graph's mutation counter, and the
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from normal7.graph_core import PseudoGraph, remove_vertices, verify_or_raise
 
@@ -182,8 +185,9 @@ def _by_label(labels: Dict[int, int]) -> Dict[int, List[int]]:
     return groups
 
 
-def find_2_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
-    """All 2-edge-cuts of a connected bridgeless graph, sorted by edge pair.
+def two_cut_pairs(g: PseudoGraph) -> List[Tuple[int, int]]:
+    """Every 2-edge-cut of a connected bridgeless graph as an ascending edge
+    pair, the pairs sorted; no sides are built.
 
     Every pair inside a group of equal labels is a cut; a loop's label is
     its own chord bit, so loops never share a group.
@@ -191,15 +195,18 @@ def find_2_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
     groups = _by_label(_connected_labels(g))
     if 0 in groups:
         raise ValueError("graph must be bridgeless")
-    cuts: List[EdgeCut] = []
-    for group in groups.values():
-        for pair in combinations(group, 2):
-            cuts.append(_cut_from_sides(g, pair, g.connected_components(skip=pair)))
-    return sorted(cuts, key=lambda c: c.pair)
+    return sorted(pair for group in groups.values() for pair in combinations(group, 2))
+
+
+def find_2_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
+    """All 2-edge-cuts of a connected bridgeless graph with their sides, in
+    two_cut_pairs order."""
+    return [_cut_from_sides(g, pair, g.connected_components(skip=pair)) for pair in two_cut_pairs(g)]
 
 
 def _three_cut_candidates(g: PseudoGraph, labels: Dict[int, int]) -> Iterator[Tuple[int, int, int]]:
-    """Ascending edge triples whose labels XOR to 0, vertex stars left out.
+    """Ascending edge triples whose labels XOR to 0, vertex stars left out,
+    in sorted order: the ids and each label group are ascending.
 
     Every 3-edge cut other than a star is among them; O(m^2) by a pair-XOR
     lookup.  In a cubic graph three edges with a common endpoint are that
@@ -215,29 +222,28 @@ def _three_cut_candidates(g: PseudoGraph, labels: Dict[int, int]) -> Iterator[Tu
                     yield (e, f, h)
 
 
-def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
-    """3-edge-cuts of a cubic graph whose sides both have at least 2 vertices.
+def nontrivial_3_edge_cuts(g: PseudoGraph) -> Iterator[EdgeCut]:
+    """3-edge-cuts of a connected cubic graph whose sides both have at least
+    2 vertices, sorted by edge triple, found lazily: a candidate's sides are
+    searched for only when the iteration reaches it.
 
     Only genuine cuts count: all three edges must cross between the two
     resulting components.
     """
     if not g.is_cubic():
         raise ValueError("graph must be cubic")
-    labels = _connected_labels(g)
-    cuts: List[EdgeCut] = []
-    for triple in _three_cut_candidates(g, labels):
+    for triple in _three_cut_candidates(g, _connected_labels(g)):
         comps = g.connected_components(skip=triple)
-        if len(comps) != 2:
+        if len(comps) != 2 or min(len(comps[0]), len(comps[1])) < 2:
             continue
         side = set(comps[0])
-        if not all(
-            (g.endpoints(e)[0] in side) != (g.endpoints(e)[1] in side) for e in triple
-        ):
-            continue
-        if min(len(comps[0]), len(comps[1])) < 2:
-            continue
-        cuts.append(_cut_from_sides(g, triple, comps))
-    return sorted(cuts, key=lambda c: c.pair)
+        if all((g.endpoints(e)[0] in side) != (g.endpoints(e)[1] in side) for e in triple):
+            yield _cut_from_sides(g, triple, comps)
+
+
+def find_nontrivial_3_edge_cuts(g: PseudoGraph) -> List[EdgeCut]:
+    """All of nontrivial_3_edge_cuts, sorted by edge triple."""
+    return list(nontrivial_3_edge_cuts(g))
 
 
 def _oriented_cut_endpoints(
@@ -252,15 +258,50 @@ def _oriented_cut_endpoints(
 
 
 def _normalize_cut(g: PseudoGraph, cut) -> Tuple[Tuple[int, ...], Set[int], Set[int]]:
+    """(ascending cut edges, side_a, side_b): an EdgeCut's own sides, or one
+    search for the sides of a bare edge collection."""
     if isinstance(cut, EdgeCut):
-        edges = cut.pair
-    else:
-        edges = tuple(sorted(cut))
+        return cut.pair, set(cut.side_a), set(cut.side_b)
+    edges = tuple(sorted(cut))
     comps = g.connected_components(skip=edges)
     if len(comps) != 2:
         raise ValueError(f"edges {edges} are not a cut into two sides")
     ec = _cut_from_sides(g, edges, comps)
     return edges, set(ec.side_a), set(ec.side_b)
+
+
+def _split_at_cut(
+    g: PseudoGraph,
+    cut,
+    size: int,
+    strict: bool,
+    close: Callable[[PseudoGraph, List[int]], Tuple[Tuple[int, ...], Optional[int]]],
+) -> Tuple[ReductionPiece, ReductionPiece, ReductionTrace]:
+    """Remove each side of a size-edge cut in turn, close the rest by
+    close(h, cut endpoints kept in h), which returns (arising edges, hub or
+    None), and check that every kept vertex keeps its degree."""
+    edges, side_a, side_b = _normalize_cut(g, cut)
+    if len(edges) != size:
+        raise ValueError(f"a {size}-cut reduction needs exactly {size} cut edges")
+    if strict and len({v for c in edges for v in g.endpoints(c)}) != 2 * size:
+        raise ValueError("cut edges must be vertex disjoint")
+    oriented = _oriented_cut_endpoints(g, edges, side_a)
+    pieces = []
+    for side, slot in ((side_b, 0), (side_a, 1)):
+        h, vmap, emap = remove_vertices(g, side)
+        arising, nu = close(h, [vmap[pt[slot]] for pt in oriented])
+        verify_or_raise(
+            all(h.degree(pv) == g.degree(ov) for ov, pv in vmap.items()),
+            f"a {size}-cut piece changed a vertex degree",
+        )
+        pieces.append(ReductionPiece(h, vmap, emap, arising, nu))
+    trace = ReductionTrace(
+        cut=edges,
+        cut_endpoints=tuple(g.endpoints(c) for c in edges),
+        n=g.num_vertices,
+        pieces=(pieces[0], pieces[1]),
+    )
+    return pieces[0], pieces[1], trace
 
 
 def two_cut_reduction(
@@ -273,31 +314,7 @@ def two_cut_reduction(
     edges must be vertex disjoint; otherwise a shared endpoint turns the
     arising edge of that side into a loop.
     """
-    edges, side_a, side_b = _normalize_cut(g, cut)
-    if len(edges) != 2:
-        raise ValueError("two_cut_reduction needs exactly two cut edges")
-    endpoints = {v for c in edges for v in g.endpoints(c)}
-    if strict and len(endpoints) != 4:
-        raise ValueError("cut edges must be vertex disjoint")
-    oriented = _oriented_cut_endpoints(g, edges, side_a)
-    pieces = []
-    for side, slot in ((side_b, 0), (side_a, 1)):
-        h, vmap, emap = remove_vertices(g, side)
-        p1, p2 = (pt[slot] for pt in oriented)
-        arising = h.add_edge(vmap[p1], vmap[p2])
-        pieces.append(ReductionPiece(h, vmap, emap, (arising,)))
-    for piece in pieces:
-        verify_or_raise(
-            all(piece.graph.degree(pv) == g.degree(ov) for ov, pv in piece.vmap.items()),
-            "a 2-cut piece changed a vertex degree",
-        )
-    trace = ReductionTrace(
-        cut=edges,
-        cut_endpoints=tuple(g.endpoints(c) for c in edges),
-        n=g.num_vertices,
-        pieces=(pieces[0], pieces[1]),
-    )
-    return pieces[0], pieces[1], trace
+    return _split_at_cut(g, cut, 2, strict, lambda h, ends: ((h.add_edge(*ends),), None))
 
 
 def three_cut_reduction(g: PseudoGraph, cut) -> Tuple[ReductionPiece, ReductionPiece, ReductionTrace]:
@@ -306,31 +323,12 @@ def three_cut_reduction(g: PseudoGraph, cut) -> Tuple[ReductionPiece, ReductionP
     The hub is joined to the three cut endpoints of its side in ascending
     cut edge order, so arising edges correspond 1-1 to cut edges.
     """
-    edges, side_a, side_b = _normalize_cut(g, cut)
-    if len(edges) != 3:
-        raise ValueError("three_cut_reduction needs exactly three cut edges")
-    endpoints = [v for c in edges for v in g.endpoints(c)]
-    if len(set(endpoints)) != 6:
-        raise ValueError("cut edges must form a matching")
-    oriented = _oriented_cut_endpoints(g, edges, side_a)
-    pieces = []
-    for side, slot in ((side_b, 0), (side_a, 1)):
-        h, vmap, emap = remove_vertices(g, side)
+
+    def hub(h: PseudoGraph, ends: List[int]) -> Tuple[Tuple[int, ...], int]:
         nu = h.add_vertex()
-        arising = tuple(h.add_edge(vmap[pt[slot]], nu) for pt in oriented)
-        pieces.append(ReductionPiece(h, vmap, emap, arising, nu=nu))
-    if g.is_cubic():
-        verify_or_raise(
-            pieces[0].graph.is_cubic() and pieces[1].graph.is_cubic(),
-            "a 3-cut piece of a cubic graph is not cubic",
-        )
-    trace = ReductionTrace(
-        cut=edges,
-        cut_endpoints=tuple(g.endpoints(c) for c in edges),
-        n=g.num_vertices,
-        pieces=(pieces[0], pieces[1]),
-    )
-    return pieces[0], pieces[1], trace
+        return tuple(h.add_edge(end, nu) for end in ends), nu
+
+    return _split_at_cut(g, cut, 3, True, hub)
 
 
 def splice_reduction(trace: ReductionTrace) -> PseudoGraph:

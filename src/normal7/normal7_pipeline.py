@@ -8,9 +8,12 @@ three layers, each exposed on its own:
     nowhere-zero Z_2^3 flows on bridgeless cubic graphs whose induced
     colorings pin the status of named edges, recursing through 2- and
     3-edge-cuts down to a cyclically-4-edge-connected base solved by
-    contracting the 2-factor of a perfect matching.  The piece flows of a
-    cut are renamed by a Z_2^3 automorphism until they agree on the arising
-    edges, then spliced back (_splice_cut_flows; _splice_3cut for 3-cuts).
+    contracting the 2-factor of a perfect matching.  Each level splits at
+    the least cut it finds, the least vertex-disjoint 2-cut or else the
+    least nontrivial 3-cut, and one join serves both cut sizes (_joined):
+    the second piece's flow is renamed by a Z_2^3 automorphism to agree
+    with the first's on the arising edges, and the two are spliced back
+    and verified.
   * color_pendant_block colors the gadget obtained from a bridgeless cubic
     graph by subdividing one edge and hanging a pendant off the new vertex;
     every edge except the pendant bridge ends up poor or rich.  The case
@@ -48,16 +51,16 @@ from normal7.coloring_solver import (
     is_normal,
 )
 from normal7.cuts_reductions import (
-    EdgeCut,
     Ladder,
     ReductionPiece,
     component_count,
     find_2_edge_cuts,
     find_bridges,
-    find_nontrivial_3_edge_cuts,
     ladder_containing,
+    nontrivial_3_edge_cuts,
     require_bridgeless_cubic,
     three_cut_reduction,
+    two_cut_pairs,
     two_cut_reduction,
 )
 from normal7.flows_trees import (
@@ -65,7 +68,6 @@ from normal7.flows_trees import (
     GroupFlow,
     all_automorphisms,
     apply_automorphism,
-    automorphism_extending,
     find_automorphism,
     flow_edge_status,
     flow_three_edges_distinct,
@@ -210,54 +212,40 @@ def _flow_values_at(flow: GroupFlow, v: int, exclude: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# flow splicing across reductions
+# joining piece flows across a cut
 
 
-def _splice_cut_flows(
+def _joined(
     g: PseudoGraph,
-    cut_eids: Sequence[int],
-    pa: ReductionPiece,
-    fa: GroupFlow,
-    pb: ReductionPiece,
-    fb: GroupFlow,
-) -> GroupFlow:
-    """Rebuild a flow on g from aligned piece flows.
-
-    The piece flows must already agree on corresponding arising edges; each
-    cut edge of g takes that common value.  The single arising edge of a
-    2-cut piece stands for both cut edges.
-    """
-    values: Dict[int, int] = {}
-    for orig, pe in pa.emap.items():
-        values[orig] = fa.values[pe]
-    for orig, pe in pb.emap.items():
-        values[orig] = fb.values[pe]
-    arising = list(zip(pa.arising, pb.arising))
-    if len(arising) == 1:
-        arising *= len(cut_eids)
-    for ce, (ea, eb) in zip(cut_eids, arising):
-        verify_or_raise(
-            fa.values[ea] == fb.values[eb], "piece flows disagree on an arising edge"
-        )
-        values[ce] = fa.values[ea]
-    return verified_nz_flow(GroupFlow(g, 3, values))
-
-
-def _splice_3cut(
-    g: PseudoGraph,
-    cut: EdgeCut,
+    cut: Sequence[int],
     px: ReductionPiece,
     fx: GroupFlow,
     py: ReductionPiece,
     fy: GroupFlow,
+    set_pairs=(),
 ) -> GroupFlow:
-    """Rename fy so that its first two arising values match fx's, then splice
-    across the 3-cut; the third slot follows from conservation at the hubs."""
-    auto = automorphism_extending(
-        tuple(fy.values[a] for a in py.arising[:2]),
-        tuple(fx.values[a] for a in px.arising[:2]),
+    """The flow on g joined from flows on the two pieces of the cut (its
+    edge ids ascending).
+
+    fy is renamed by the first automorphism, in enumeration order, that maps
+    its values on py's first two arising edges onto fx's (at a 3-cut the
+    hubs' conservation then matches the third) and meets set_pairs.  Each
+    edge of g then takes its piece's value, and each cut edge the value its
+    arising edge carries in both pieces; a 2-cut piece's one arising edge
+    stands for both cut edges.
+    """
+    fy = _aligned(
+        fy,
+        pairs=[(fy.values[b], fx.values[a]) for a, b in zip(px.arising[:2], py.arising[:2])],
+        set_pairs=set_pairs,
     )
-    return _splice_cut_flows(g, cut.pair, px, fx, py, apply_automorphism(fy, auto))
+    values = {orig: fx.values[pe] for orig, pe in px.emap.items()}
+    values.update((orig, fy.values[pe]) for orig, pe in py.emap.items())
+    arising = list(zip(px.arising, py.arising))
+    for ce, (a, b) in zip(cut, arising * len(cut) if len(arising) == 1 else arising):
+        verify_or_raise(fx.values[a] == fy.values[b], "piece flows disagree on an arising edge")
+        values[ce] = fx.values[a]
+    return verified_nz_flow(GroupFlow(g, 3, values))
 
 
 def _aligned(flow: GroupFlow, pairs=(), set_pairs=()) -> GroupFlow:
@@ -307,55 +295,41 @@ def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
         assert len(ids) == 3
         return GroupFlow(g, 3, {d: i + 1 for i, d in enumerate(ids)})
 
-    cuts = find_2_edge_cuts(g)
-    if cuts:
-        # a 2-cut with a repeated endpoint would need a parallel pair, and
-        # any parallel pair's complementary third edges form a cut with four
-        # distinct endpoints, so a vertex-disjoint cut always exists here
-        cut = next(
-            c for c in cuts if len({v for d in c.pair for v in g.endpoints(d)}) == 4
-        )
+    # split at the least vertex-disjoint 2-cut, else at the least nontrivial
+    # 3-cut.  A 2-cut with a repeated endpoint would need a parallel pair,
+    # and any parallel pair's complementary third edges form a cut with four
+    # distinct endpoints, so a vertex-disjoint 2-cut exists whenever any does
+    pairs = two_cut_pairs(g)
+    if pairs:
+        cut = next((p for p in pairs if len({v for d in p for v in g.endpoints(d)}) == 4), None)
+        verify_or_raise(cut is not None, "every 2-edge-cut of the graph shares an endpoint")
         pa, pb, _ = two_cut_reduction(g, cut, strict=True)
-        assert pa.graph.num_vertices < g.num_vertices
-        assert pb.graph.num_vertices < g.num_vertices
-        if e in cut.edges:
-            fa = _flow_edge_poor_connected(pa.graph, pa.arising[0])
-            fb = _flow_edge_poor_connected(pb.graph, pb.arising[0])
-            u, v = g.endpoints(e)
-            ua = u if u in pa.vmap else v
-            vb = v if v in pb.vmap else u
-            cv = fa.values[pa.arising[0]]
-            p_set = set(_flow_values_at(fa, pa.vmap[ua], pa.arising[0]))
-            q_set = set(_flow_values_at(fb, pb.vmap[vb], pb.arising[0]))
-            fb = _aligned(
-                fb,
-                pairs=[(fb.values[pb.arising[0]], cv)],
-                set_pairs=[(q_set, p_set)],
-            )
-            return _splice_cut_flows(g, cut.pair, pa, fa, pb, fb)
-        px, py = (pa, pb) if e in pa.emap else (pb, pa)
-        fx = _flow_edge_poor_connected(px.graph, px.emap[e])
-        fy = nz_z23_flow(py.graph)
-        fy = _aligned(
-            fy, pairs=[(fy.values[py.arising[0]], fx.values[px.arising[0]])]
-        )
-        return _splice_cut_flows(g, cut.pair, px, fx, py, fy)
+    else:
+        least = next(nontrivial_3_edge_cuts(g), None)
+        if least is None:
+            return _poor_base(g, e)
+        cut = least.pair
+        pa, pb, _ = three_cut_reduction(g, least)
+    assert pa.graph.num_vertices < g.num_vertices
+    assert pb.graph.num_vertices < g.num_vertices
+    if e in cut:
+        # e's arising edge is poor in both pieces; renaming the value pair at
+        # e's end in pb onto the one in pa makes e poor in g (at a 3-cut the
+        # hubs' values already force it)
+        k = cut.index(e) if len(cut) == 3 else 0
+        a, b = pa.arising[k], pb.arising[k]
+        fa = _flow_edge_poor_connected(pa.graph, a)
+        fb = _flow_edge_poor_connected(pb.graph, b)
+        u, v = g.endpoints(e)
+        p_set = set(_flow_values_at(fa, pa.vmap[u if u in pa.vmap else v], a))
+        q_set = set(_flow_values_at(fb, pb.vmap[v if v in pb.vmap else u], b))
+        return _joined(g, cut, pa, fa, pb, fb, set_pairs=[(q_set, p_set)])
+    px, py = (pa, pb) if e in pa.emap else (pb, pa)
+    fx = _flow_edge_poor_connected(px.graph, px.emap[e])
+    return _joined(g, cut, px, fx, py, nz_z23_flow(py.graph))
 
-    cuts3 = find_nontrivial_3_edge_cuts(g)
-    if cuts3:
-        cut = cuts3[0]
-        pa, pb, _ = three_cut_reduction(g, cut)
-        assert pa.graph.num_vertices < g.num_vertices
-        assert pb.graph.num_vertices < g.num_vertices
-        if e in cut.edges:
-            j = cut.pair.index(e)
-            fa = _flow_edge_poor_connected(pa.graph, pa.arising[j])
-            fb = _flow_edge_poor_connected(pb.graph, pb.arising[j])
-            return _splice_3cut(g, cut, pa, fa, pb, fb)
-        px, py = (pa, pb) if e in pa.emap else (pb, pa)
-        fx = _flow_edge_poor_connected(px.graph, px.emap[e])
-        return _splice_3cut(g, cut, px, fx, py, nz_z23_flow(py.graph))
 
+def _poor_base(g: PseudoGraph, e: int) -> GroupFlow:
     # cyclically 4-edge-connected base: route a perfect matching through an
     # edge adjacent to e; contracting the complementary 2-factor sends e's
     # endpoints to cycle vertices whose matching values we equalize
@@ -396,7 +370,7 @@ def flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
         raise ValueError("flow_two_adjacent_rich requires a connected graph")
     if g.num_vertices < 4:
         raise ValueError("graph too small: no flow makes an edge rich here")
-    if find_2_edge_cuts(g):
+    if two_cut_pairs(g):
         raise ValueError("flow_two_adjacent_rich requires 3-edge-connectivity")
     assert g.is_simple()
     assert len(shared) == 1
@@ -404,14 +378,14 @@ def flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
 
 
 def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
-    cuts3 = find_nontrivial_3_edge_cuts(g)
-    if not cuts3:
+    least = next(nontrivial_3_edge_cuts(g), None)
+    if least is None:
         return _rich_pair_base(g, e, f)
-    cut = cuts3[0]
-    pa, pb, _ = three_cut_reduction(g, cut)
+    cut = least.pair
+    pa, pb, _ = three_cut_reduction(g, least)
     assert pa.graph.num_vertices < g.num_vertices
     assert pb.graph.num_vertices < g.num_vertices
-    crossing = cut.edges & {e, f}
+    crossing = set(cut) & {e, f}
     # a nontrivial 3-cut in a cubic graph is a matching, so at most one of
     # two adjacent edges crosses it
     assert len(crossing) <= 1
@@ -419,16 +393,16 @@ def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
         px, py = (pa, pb) if e in pa.emap else (pb, pa)
         assert f in px.emap
         fx = _recurse_rich_piece(px.graph, px.emap[e], px.emap[f])
-        return _splice_3cut(g, cut, px, fx, py, nz_z23_flow(py.graph))
-    cr = next(iter(crossing))
+        return _joined(g, cut, px, fx, py, nz_z23_flow(py.graph))
+    cr = crossing.pop()
     other = f if cr == e else e
     v = (set(g.endpoints(e)) & set(g.endpoints(f))).pop()
-    j = cut.pair.index(cr)
+    j = cut.index(cr)
     px, py = (pa, pb) if v in pa.vmap else (pb, pa)
     assert other in px.emap
     fx = _recurse_rich_piece(px.graph, px.arising[j], px.emap[other])
     fy = _flow_edge_poor_connected(py.graph, py.arising[j])
-    flow = _splice_3cut(g, cut, px, fx, py, fy)
+    flow = _joined(g, cut, px, fx, py, fy)
     assert flow_edge_status(flow, e) == "rich"
     assert flow_edge_status(flow, f) == "rich"
     return flow
@@ -438,7 +412,7 @@ def _recurse_rich_piece(h: PseudoGraph, e: int, f: int) -> GroupFlow:
     # pieces of a nontrivial 3-cut reduction of a 3-edge-connected cubic
     # graph are again 3-edge-connected with at least four vertices
     assert not find_bridges(h)
-    assert not find_2_edge_cuts(h)
+    assert not two_cut_pairs(h)
     assert h.num_vertices >= 4
     return _flow_two_adjacent_rich(h, e, f)
 

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, output formats, exit codes, census records."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -129,7 +130,9 @@ class TestColor:
         assert rc == EXIT_INPUT
         assert "error" in err
 
-    @pytest.mark.parametrize("exc_type", [ValueError, MatchingError, PackingError])
+    @pytest.mark.parametrize(
+        "exc_type", [ValueError, MatchingError, PackingError, RuntimeError, RecursionError, KeyError]
+    )
     def test_a_pipeline_failure_is_internal(self, capsys, monkeypatch, exc_type):
         def failing(g, trace):
             normal7_pipeline._record(trace, normal7_pipeline.CaseTag.Glue, g)
@@ -138,7 +141,7 @@ class TestColor:
         monkeypatch.setattr(cli, "normal7_coloring", failing)
         rc, out, err = run(capsys, ["color"], stdin=K4_G6, monkeypatch=monkeypatch)
         assert rc == EXIT_VERIFY and not out
-        assert f"{exc_type.__name__}: boom" in err
+        assert f"{exc_type.__name__}: {exc_type('boom')}" in err  # a KeyError quotes its key
         assert '"case": "Glue"' in err  # the steps recorded before the failure
         rc, _, _ = run(capsys, ["color"], stdin="3 3\n0 1\n1 2\n2 0\n", monkeypatch=monkeypatch)
         assert rc == EXIT_INPUT
@@ -264,13 +267,28 @@ class TestCensus:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        # _census_records imports the pool class from concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         path = tmp_path / "list.g6"
         path.write_text(f"{K4_G6}\n{PETERSEN_G6}\n{PRISM_G6}\n")
         rc, out, _ = run(capsys, ["census", str(path), "--jobs", str(jobs)])
         assert rc == EXIT_OK and len(out.splitlines()) == 4
         assert started == workers
+
+    def test_a_serial_run_loads_no_process_pool(self, tmp_path):
+        script = f"""
+import sys
+from normal7 import cli
+print(cli.main(["census", {str(tmp_path / "list.g6")!r}]) == 0, file=sys.stderr)
+print(sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent.futures.process"))), file=sys.stderr)
+"""
+        (tmp_path / "list.g6").write_text(f"{K4_G6}\n{PETERSEN_G6}\n")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == "True\n[]\n"
 
     def test_parallel_jobs_match_serial_order(self, capsys, tmp_path):
         path = tmp_path / "list.g6"

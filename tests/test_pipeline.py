@@ -13,7 +13,7 @@ from normal7 import cuts_reductions, normal7_pipeline
 from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeColoring, EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
-from normal7.flows_trees import flow_edge_status, verify_flow
+from normal7.flows_trees import FlowCheck, flow_edge_status, verify_flow
 from normal7.graph_core import (
     PseudoGraph,
     VerificationError,
@@ -56,6 +56,7 @@ from tests.corpora import (
     two_bridge_chain,
 )
 from tests.test_golden_outputs import builds as golden_builds, relabeled
+from tools.cut_probes import diamond_necklace, truncated_prism_ring_edges
 from tools.verify_sweep import piece_copies
 
 
@@ -576,6 +577,62 @@ class TestLabellingWork:
         # the first one's coloring and is not labelled (was [6, 4] per block)
         g = gadget_tree(hubs, seed)
         assert self.labellings(monkeypatch, g) == [g.num_vertices, 6, 4]
+
+
+class TestCutSearches:
+    """The pinned-flow recursions split at the least cut and build its sides
+    once: their component searches grow with the number of splits, not with
+    the number of cuts or 3-cut candidates per level (which made 651
+    searches for 21 splits on the 120-vertex ring)."""
+
+    RING = PseudoGraph.from_edges(120, truncated_prism_ring_edges(20))
+    NECKLACE = diamond_necklace(10)
+
+    @pytest.mark.parametrize(
+        "graph, solve",
+        [
+            (RING, lambda g: flow_two_adjacent_rich(g, *sorted(g.incident(0))[:2])),
+            (RING, lambda g: flow_edge_poor(g, 0)),
+            (NECKLACE, lambda g: flow_edge_poor(g, 0)),  # inside a diamond
+            (NECKLACE, lambda g: flow_edge_poor(g, 5)),  # a ring edge, in a cut
+        ],
+        ids=["ring-rich", "ring-poor", "necklace-poor-inside", "necklace-poor-on-cut"],
+    )
+    def test_searches_grow_with_the_splits(self, monkeypatch, graph, solve):
+        counts = {"searches": 0, "splits": 0}
+        paused = []
+        search, nz = PseudoGraph.connected_components, normal7_pipeline.nz_z23_flow
+
+        def counted(h, skip=()):
+            counts["searches"] += not paused
+            return search(h, skip)
+
+        def nz_flow(h):
+            # nz_z23_flow's own 2-cut recursion still builds every cut's
+            # sides; only the pinned-flow recursions are counted
+            paused.append(h)
+            try:
+                return nz(h)
+            finally:
+                paused.pop()
+
+        monkeypatch.setattr(PseudoGraph, "connected_components", counted)
+        monkeypatch.setattr(normal7_pipeline, "nz_z23_flow", nz_flow)
+        for name in ("two_cut_reduction", "three_cut_reduction"):
+
+            def split(*args, _reduce=getattr(normal7_pipeline, name), **kwargs):
+                counts["splits"] += 1
+                return _reduce(*args, **kwargs)
+
+            monkeypatch.setattr(normal7_pipeline, name, split)
+        flow = solve(graph)
+        monkeypatch.undo()
+        assert verify_flow(flow) == FlowCheck(True, True)
+        assert counts["splits"] >= 8
+        # one per split (the 3-cut taken, whose sides the reduction reuses,
+        # or the 2-cut reduction's own search), plus flow_edge_poor's one
+        # search for the components of g
+        assert counts["searches"] <= counts["splits"] + 1
 
 
 def pieces_of(g: PseudoGraph):
