@@ -14,7 +14,9 @@ is the tree's own path between the ends of a non-tree edge.  The Z_2^3
 flow of a 3-edge-connected graph packs three trees in its doubled graph,
 written as ends straight from g: copies 2i and 2i + 1 stand for the i-th
 edge.  The Z_2^2 flows that pin edges e and f pack two trees in g's ends
-with holes at e and f.
+with holes at e and f.  Every Z_2^3 flow split at a 2- or 3-edge-cut, here
+or in the pipeline, is joined by joined_at_cut: one piece's flow is renamed
+by an automorphism to agree with the other's on the arising edges.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from normal7.cuts_reductions import find_2_edge_cuts, find_bridges, two_cut_reduction
+from normal7.cuts_reductions import ReductionPiece, find_2_edge_cuts, find_bridges, two_cut_reduction
 from normal7.graph_core import PseudoGraph, VerificationError, solve_per_component, verify_or_raise
 
 GF2Vector = int  # k-bit value; addition is bitwise xor
@@ -558,10 +560,11 @@ def _flow_with_free_loops(
 def nz_z23_flow(g: PseudoGraph) -> GroupFlow:
     """Nowhere-zero Z_2^3 flow of a bridgeless graph (possibly disconnected).
 
-    2-edge-cuts are split recursively; flows on the two closed pieces are
-    aligned by a group automorphism so they agree on the cut.  On
-    3-edge-connected graphs, three spanning trees packed in the doubled
-    graph give three complement-of-parity even subgraphs covering E.
+    2-edge-cuts are split recursively and the pieces' flows joined by
+    joined_at_cut; an arising loop, whose value is free, first takes the
+    other piece's arising value.  On 3-edge-connected graphs, three spanning
+    trees packed in the doubled graph give three complement-of-parity even
+    subgraphs covering E.
     """
     if find_bridges(g):
         raise ValueError("graph has a bridge, so it admits no nowhere-zero flow")
@@ -586,29 +589,17 @@ def _nz3_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
     cuts = find_2_edge_cuts(g)
     if not cuts:
         return _nz3_three_connected(g)
-    pa, pb, trace = two_cut_reduction(g, cuts[0], strict=False)
-    va = _nz3_connected(pa.graph)
-    vb = _nz3_connected(pb.graph)
+    pa, pb, _ = two_cut_reduction(g, cuts[0], strict=False)
+    fa = GroupFlow(pa.graph, 3, _nz3_connected(pa.graph))
+    fb = GroupFlow(pb.graph, 3, _nz3_connected(pb.graph))
+    # a loop's value is free: an arising loop takes the other piece's
+    # arising value, so the join's first automorphism is the identity
     ea, eb = pa.arising[0], pb.arising[0]
-    a_loop = pa.graph.is_loop(ea)
-    b_loop = pb.graph.is_loop(eb)
-    if not a_loop and not b_loop:
-        auto = automorphism_extending((vb[eb],), (va[ea],))
-        vb = {eid: auto.apply(val) for eid, val in vb.items()}
-        s = va[ea]
-    elif a_loop and not b_loop:
-        s = vb[eb]
-    elif not a_loop and b_loop:
-        s = va[ea]
-    else:
-        s = X
-    for old, new in pa.emap.items():
-        values[old] = va[new]
-    for old, new in pb.emap.items():
-        values[old] = vb[new]
-    for c in trace.cut:
-        values[c] = s
-    return values
+    if pa.graph.is_loop(ea):
+        fa.values[ea] = fb.values[eb]
+    elif pb.graph.is_loop(eb):
+        fb.values[eb] = fa.values[ea]
+    return joined_at_cut(g, cuts[0].pair, pa, fa, pb, fb).values
 
 
 def _nz3_three_connected(g: PseudoGraph) -> Dict[int, GF2Vector]:
@@ -666,30 +657,6 @@ def all_automorphisms() -> Tuple[GF2Automorphism, ...]:
     return tuple(out)
 
 
-def automorphism_extending(
-    src: Sequence[GF2Vector], dst: Sequence[GF2Vector]
-) -> GF2Automorphism:
-    """The unique automorphism mapping src_i to dst_i.
-
-    src must be linearly independent (1 to 3 vectors); shorter tuples are
-    completed to a basis in a deterministic way, so the result is the first
-    qualifying automorphism in the fixed enumeration order.
-    """
-    if len(src) != len(dst):
-        raise ValueError("src and dst must have equal length")
-    if not 1 <= len(src) <= 3:
-        raise ValueError("need between 1 and 3 vector pairs")
-    span: Set[int] = {0}
-    for v in src:
-        if v in span:
-            raise ValueError("src vectors are linearly dependent")
-        span |= {v ^ w for w in span}
-    auto = find_automorphism(pairs=zip(src, dst))
-    if auto is None:
-        raise ValueError("dst vectors are linearly dependent")
-    return auto
-
-
 def find_automorphism(
     pairs: Iterable[Tuple[GF2Vector, GF2Vector]] = (),
     set_pairs: Iterable[Tuple[Iterable[GF2Vector], Iterable[GF2Vector]]] = (),
@@ -717,3 +684,47 @@ def apply_automorphism(flow: GroupFlow, auto: GF2Automorphism) -> GroupFlow:
         "renaming the values changed whether the flow is conserved",
     )
     return out
+
+
+def aligned(flow: GroupFlow, pairs=(), set_pairs=()) -> GroupFlow:
+    """The flow renamed by find_automorphism(pairs, set_pairs); raises
+    VerificationError when no automorphism meets the constraints."""
+    auto = find_automorphism(pairs=pairs, set_pairs=set_pairs)
+    verify_or_raise(auto is not None, "no value automorphism satisfies the constraints")
+    return apply_automorphism(flow, auto)
+
+
+# -- joining piece flows across a cut ---------------------------------------------
+
+
+def joined_at_cut(
+    g: PseudoGraph,
+    cut: Sequence[int],
+    px: ReductionPiece,
+    fx: GroupFlow,
+    py: ReductionPiece,
+    fy: GroupFlow,
+    set_pairs=(),
+) -> GroupFlow:
+    """The Z_2^3 flow on g joined from flows on the two pieces of a 2- or
+    3-edge-cut (its edge ids ascending).
+
+    fy is renamed by the first automorphism, in enumeration order, that maps
+    its values on py's first two arising edges onto fx's (at a 3-cut the
+    hubs' conservation then matches the third) and meets set_pairs.  Each
+    edge of g then takes its piece's value, and each cut edge the value its
+    arising edge carries in both pieces; a 2-cut piece's one arising edge
+    stands for both cut edges.
+    """
+    fy = aligned(
+        fy,
+        pairs=[(fy.values[b], fx.values[a]) for a, b in zip(px.arising[:2], py.arising[:2])],
+        set_pairs=set_pairs,
+    )
+    values = {orig: fx.values[pe] for orig, pe in px.emap.items()}
+    values.update((orig, fy.values[pe]) for orig, pe in py.emap.items())
+    arising = list(zip(px.arising, py.arising))
+    for ce, (a, b) in zip(cut, arising * len(cut) if len(arising) == 1 else arising):
+        verify_or_raise(fx.values[a] == fy.values[b], "piece flows disagree on an arising edge")
+        values[ce] = fx.values[a]
+    return verified_nz_flow(GroupFlow(g, 3, values))

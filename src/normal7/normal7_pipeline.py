@@ -9,11 +9,9 @@ three layers, each exposed on its own:
     colorings pin the status of named edges, recursing through 2- and
     3-edge-cuts down to a cyclically-4-edge-connected base solved by
     contracting the 2-factor of a perfect matching.  Each level splits at
-    the least cut it finds, the least vertex-disjoint 2-cut or else the
-    least nontrivial 3-cut, and one join serves both cut sizes (_joined):
-    the second piece's flow is renamed by a Z_2^3 automorphism to agree
-    with the first's on the arising edges, and the two are spliced back
-    and verified.
+    the least cut it finds, the least 2-cut or else the least nontrivial
+    3-cut, and joins the pieces' flows through flows_trees.joined_at_cut,
+    the one join of both cut sizes, which nz_z23_flow also uses.
   * color_pendant_block colors the gadget obtained from a bridgeless cubic
     graph by subdividing one edge and hanging a pendant off the new vertex;
     every edge except the pendant bridge ends up poor or rich.  The case
@@ -66,12 +64,13 @@ from normal7.cuts_reductions import (
 from normal7.flows_trees import (
     GF2Automorphism,
     GroupFlow,
+    aligned,
     all_automorphisms,
     apply_automorphism,
-    find_automorphism,
     flow_edge_status,
     flow_three_edges_distinct,
     flow_two_edges_equal,
+    joined_at_cut,
     nz_z23_flow,
     verified_nz_flow,
 )
@@ -202,56 +201,8 @@ def _others_at(g: PseudoGraph, v: int, exclude: int) -> List[int]:
     return sorted(d for d in g.incident(v) if d != exclude)
 
 
-def _far_endpoint(g: PseudoGraph, eid: int, near: int) -> int:
-    u, v = g.endpoints(eid)
-    return v if u == near else u
-
-
 def _flow_values_at(flow: GroupFlow, v: int, exclude: int) -> List[int]:
     return [flow.values[d] for d in _others_at(flow.graph, v, exclude)]
-
-
-# ---------------------------------------------------------------------------
-# joining piece flows across a cut
-
-
-def _joined(
-    g: PseudoGraph,
-    cut: Sequence[int],
-    px: ReductionPiece,
-    fx: GroupFlow,
-    py: ReductionPiece,
-    fy: GroupFlow,
-    set_pairs=(),
-) -> GroupFlow:
-    """The flow on g joined from flows on the two pieces of the cut (its
-    edge ids ascending).
-
-    fy is renamed by the first automorphism, in enumeration order, that maps
-    its values on py's first two arising edges onto fx's (at a 3-cut the
-    hubs' conservation then matches the third) and meets set_pairs.  Each
-    edge of g then takes its piece's value, and each cut edge the value its
-    arising edge carries in both pieces; a 2-cut piece's one arising edge
-    stands for both cut edges.
-    """
-    fy = _aligned(
-        fy,
-        pairs=[(fy.values[b], fx.values[a]) for a, b in zip(px.arising[:2], py.arising[:2])],
-        set_pairs=set_pairs,
-    )
-    values = {orig: fx.values[pe] for orig, pe in px.emap.items()}
-    values.update((orig, fy.values[pe]) for orig, pe in py.emap.items())
-    arising = list(zip(px.arising, py.arising))
-    for ce, (a, b) in zip(cut, arising * len(cut) if len(arising) == 1 else arising):
-        verify_or_raise(fx.values[a] == fy.values[b], "piece flows disagree on an arising edge")
-        values[ce] = fx.values[a]
-    return verified_nz_flow(GroupFlow(g, 3, values))
-
-
-def _aligned(flow: GroupFlow, pairs=(), set_pairs=()) -> GroupFlow:
-    auto = find_automorphism(pairs=pairs, set_pairs=set_pairs)
-    verify_or_raise(auto is not None, "no value automorphism satisfies the constraints")
-    return apply_automorphism(flow, auto)
 
 
 def _verified_statuses(flow: GroupFlow, status: str, *marked: int) -> GroupFlow:
@@ -295,15 +246,12 @@ def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
         assert len(ids) == 3
         return GroupFlow(g, 3, {d: i + 1 for i, d in enumerate(ids)})
 
-    # split at the least vertex-disjoint 2-cut, else at the least nontrivial
-    # 3-cut.  A 2-cut with a repeated endpoint would need a parallel pair,
-    # and any parallel pair's complementary third edges form a cut with four
-    # distinct endpoints, so a vertex-disjoint 2-cut exists whenever any does
+    # split at the least 2-cut, else at the least nontrivial 3-cut.  No end
+    # of a 2-cut is shared: its third edge would be a bridge
     pairs = two_cut_pairs(g)
     if pairs:
-        cut = next((p for p in pairs if len({v for d in p for v in g.endpoints(d)}) == 4), None)
-        verify_or_raise(cut is not None, "every 2-edge-cut of the graph shares an endpoint")
-        pa, pb, _ = two_cut_reduction(g, cut, strict=True)
+        cut = pairs[0]
+        pa, pb, _ = two_cut_reduction(g, cut)
     else:
         least = next(nontrivial_3_edge_cuts(g), None)
         if least is None:
@@ -323,10 +271,10 @@ def _flow_edge_poor_connected(g: PseudoGraph, e: int) -> GroupFlow:
         u, v = g.endpoints(e)
         p_set = set(_flow_values_at(fa, pa.vmap[u if u in pa.vmap else v], a))
         q_set = set(_flow_values_at(fb, pb.vmap[v if v in pb.vmap else u], b))
-        return _joined(g, cut, pa, fa, pb, fb, set_pairs=[(q_set, p_set)])
+        return joined_at_cut(g, cut, pa, fa, pb, fb, set_pairs=[(q_set, p_set)])
     px, py = (pa, pb) if e in pa.emap else (pb, pa)
     fx = _flow_edge_poor_connected(px.graph, px.emap[e])
-    return _joined(g, cut, px, fx, py, nz_z23_flow(py.graph))
+    return joined_at_cut(g, cut, px, fx, py, nz_z23_flow(py.graph))
 
 
 def _poor_base(g: PseudoGraph, e: int) -> GroupFlow:
@@ -393,7 +341,7 @@ def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
         px, py = (pa, pb) if e in pa.emap else (pb, pa)
         assert f in px.emap
         fx = _recurse_rich_piece(px.graph, px.emap[e], px.emap[f])
-        return _joined(g, cut, px, fx, py, nz_z23_flow(py.graph))
+        return joined_at_cut(g, cut, px, fx, py, nz_z23_flow(py.graph))
     cr = crossing.pop()
     other = f if cr == e else e
     v = (set(g.endpoints(e)) & set(g.endpoints(f))).pop()
@@ -402,7 +350,7 @@ def _flow_two_adjacent_rich(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     assert other in px.emap
     fx = _recurse_rich_piece(px.graph, px.arising[j], px.emap[other])
     fy = _flow_edge_poor_connected(py.graph, py.arising[j])
-    flow = _joined(g, cut, px, fx, py, fy)
+    flow = joined_at_cut(g, cut, px, fx, py, fy)
     assert flow_edge_status(flow, e) == "rich"
     assert flow_edge_status(flow, f) == "rich"
     return flow
@@ -424,8 +372,8 @@ def _rich_pair_base(g: PseudoGraph, e: int, f: int) -> GroupFlow:
     gpp = third[0]
     matching = perfect_matching_through(g, gpp)
     assert e not in matching.edges and f not in matching.edges
-    a = _far_endpoint(g, e, v)
-    b = _far_endpoint(g, f, v)
+    a = g.other_endpoint(e, v)
+    b = g.other_endpoint(f, v)
     m_at = matched_edge_at(g, matching.edges)
     m_e, m_f = m_at[a], m_at[b]
     assert m_e != gpp and m_f != gpp
@@ -458,8 +406,8 @@ def _rich_frame(h: PseudoGraph, w: int, exclude: int) -> Tuple[GroupFlow, int, i
     """
     a, b = _others_at(h, w, exclude)
     theta = flow_two_adjacent_rich(h, a, b)
-    s1 = set(_flow_values_at(theta, _far_endpoint(h, a, w), a))
-    s2 = set(_flow_values_at(theta, _far_endpoint(h, b, w), b))
+    s1 = set(_flow_values_at(theta, h.other_endpoint(a, w), a))
+    s2 = set(_flow_values_at(theta, h.other_endpoint(b, w), b))
     shared = s1 & s2
     verify_or_raise(len(shared) == 1, "two rich edges' far ends share no single value")
     x = shared.pop()
@@ -570,8 +518,8 @@ def _case_doubled_edge(
     g_w = [d for d in g.incident(w) if d not in (e, partner)]
     assert len(t_u) == 1 and len(g_w) == 1
     t_u, g_w = t_u[0], g_w[0]
-    p = _far_endpoint(g, t_u, u)
-    q = _far_endpoint(g, g_w, w)
+    p = g.other_endpoint(t_u, u)
+    q = g.other_endpoint(g_w, w)
     assert p != q, "a doubled edge with shared third neighbor means a bridge"
     h0, vmap, emap = remove_vertices(g, {u, w})
     eh = h0.add_edge(vmap[p], vmap[q])
@@ -621,10 +569,10 @@ def _side_pieces(
 ) -> Tuple[ReductionPiece, ReductionPiece]:
     """(piece containing rail start, piece containing rail end) for the two
     boundary rail cuts of a maximal ladder."""
-    pa0, pb0, _ = two_cut_reduction(g, lad.rail_pair(0), strict=True)
+    pa0, pb0, _ = two_cut_reduction(g, lad.rail_pair(0))
     p_g1 = pa0 if lad.u_rail[0] in pa0.vmap else pb0
     assert lad.u_rail[0] in p_g1.vmap and lad.v_rail[0] in p_g1.vmap
-    pam, pbm, _ = two_cut_reduction(g, lad.rail_pair(lad.m - 1), strict=True)
+    pam, pbm, _ = two_cut_reduction(g, lad.rail_pair(lad.m - 1))
     p_g2 = pam if lad.u_rail[lad.m] in pam.vmap else pbm
     assert lad.u_rail[lad.m] in p_g2.vmap and lad.v_rail[lad.m] in p_g2.vmap
     return p_g1, p_g2
@@ -643,7 +591,7 @@ def _case_ladder_avoids_e(
     if lad.u_rail[0] not in side:
         lad = _flip_ladder(lad)
         assert lad.u_rail[0] in side
-    pa, pb, _ = two_cut_reduction(g, lad.rail_pair(0), strict=True)
+    pa, pb, _ = two_cut_reduction(g, lad.rail_pair(0))
     p_h = pa if lad.u_rail[0] in pa.vmap else pb
     p_rest = pb if p_h is pa else pa
     assert e in p_h.emap
@@ -718,11 +666,12 @@ def _align_second_end(
 ) -> Tuple[GroupFlow, int, GF2Automorphism]:
     """Rename theta2 so its arising edge carries x and its absent value
     avoids y; returns (renamed flow, new absent value, automorphism)."""
-    for auto in all_automorphisms():
-        if auto.apply(theta2.values[arising2]) == x and auto.apply(absent2) != y:
-            z = auto.apply(absent2)
-            return apply_automorphism(theta2, auto), z, auto
-    raise AssertionError("no automorphism aligns the second ladder end")
+    arising = theta2.values[arising2]
+    auto = next(
+        (a for a in all_automorphisms() if a.apply(arising) == x and a.apply(absent2) != y), None
+    )
+    verify_or_raise(auto is not None, "no automorphism aligns the second ladder end")
+    return apply_automorphism(theta2, auto), auto.apply(absent2), auto
 
 
 # --- cases: e inside every maximal ladder ------------------------------------
@@ -849,7 +798,7 @@ def _case_initial_edge(
     assert e == lad.u_edges[m - 1]
     _record(steps, CaseTag.InitialEdge, g, (e,))
 
-    pa, pb, _ = two_cut_reduction(g, lad.rail_pair(m - 1), strict=True)
+    pa, pb, _ = two_cut_reduction(g, lad.rail_pair(m - 1))
     p_h1 = pa if lad.u_rail[m - 1] in pa.vmap else pb
     p_h2 = pb if p_h1 is pa else pa
     assert lad.u_rail[m] in p_h2.vmap
@@ -865,7 +814,7 @@ def _case_initial_edge(
     vm_hat = p_h2.vmap[lad.v_rail[m]]
     q_set = set(_flow_values_at(theta1, vm1_hat, a1))
     p_set = set(_flow_values_at(theta2, vm_hat, a2))
-    theta1 = _aligned(
+    theta1 = aligned(
         theta1,
         pairs=[(theta1.values[a1], x)],
         set_pairs=[(q_set, p_set)],
@@ -990,8 +939,8 @@ def color_degree13_graph(
 
     if t == 2:
         u, v = attach
-        lu = _far_endpoint(g, pendants[0], u)
-        lv = _far_endpoint(g, pendants[1], v)
+        lu = g.other_endpoint(pendants[0], u)
+        lv = g.other_endpoint(pendants[1], v)
         h0, vmap, emap = remove_vertices(g, {lu, lv})
         ne = h0.add_edge(vmap[u], vmap[v])
         assert h0.is_cubic() and not find_bridges(h0)
@@ -1027,8 +976,8 @@ def color_degree13_graph(
 
     i, j = pair
     u, v = attach[i], attach[j]
-    lu = _far_endpoint(g, pendants[i], u)
-    lv = _far_endpoint(g, pendants[j], v)
+    lu = g.other_endpoint(pendants[i], u)
+    lv = g.other_endpoint(pendants[j], v)
     h0, vmap, emap = remove_vertices(g, {lu, lv})
     ne = h0.add_edge(vmap[u], vmap[v])
     assert h0.is_simple()
@@ -1047,10 +996,10 @@ def _suppress_single_pendant(
     """One pendant edge: remove it and smooth its attachment vertex, color
     the resulting bridgeless cubic graph through the pendant-block gadget,
     and pull the three gadget colors back."""
-    leaf = _far_endpoint(g, pendant, s)
+    leaf = g.other_endpoint(pendant, s)
     e1, e2 = _others_at(g, s, pendant)
-    p = _far_endpoint(g, e1, s)
-    q = _far_endpoint(g, e2, s)
+    p = g.other_endpoint(e1, s)
+    q = g.other_endpoint(e2, s)
     assert p != q
     h0, vmap, emap = remove_vertices(g, {leaf, s})
     eh = h0.add_edge(vmap[p], vmap[q])

@@ -20,6 +20,7 @@ from normal7.cuts_reductions import (
     find_bridges,
     find_nontrivial_3_edge_cuts,
     star_product,
+    two_cut_pairs,
 )
 from normal7.graph_core import PseudoGraph
 from tests.corpora import corpus_graphs, random_pseudograph
@@ -230,6 +231,34 @@ class TestPlantedCuts:
         cuts = find_2_edge_cuts(g)
         assert sided(cuts) == brute_2_cuts(g)
         assert (joins, side1) in {(c.pair, c.side_a) for c in cuts}
+
+
+def distinct_end_cuts(g: PseudoGraph) -> int:
+    """The number of g's 2-cuts, once each is seen to have four distinct ends."""
+    pairs = two_cut_pairs(g)
+    assert all(len({v for e in p for v in g.endpoints(e)}) == 4 for p in pairs)
+    return len(pairs)
+
+
+class TestCubicTwoCutEnds:
+    """No vertex of a bridgeless cubic graph is an end of both edges of a
+    2-cut: its third edge would be a bridge.  The poor-edge recursion
+    splits at the least 2-cut on that ground."""
+
+    def test_census(self):
+        assert sum(distinct_end_cuts(g) for _, g in corpus_graphs() if not find_bridges(g)) > 0
+
+    def test_pairing_model_multigraphs(self):
+        rng = random.Random(7)
+        graphs = cuts = with_parallels = 0
+        while graphs < 3000:
+            g = pairing_cubic(rng, rng.randrange(2, 17, 2), simple=False)
+            if g.is_connected() and not find_bridges(g):
+                graphs += 1
+                found = distinct_end_cuts(g)
+                cuts += found
+                with_parallels += found > 0 and not g.is_simple()
+        assert cuts > graphs and with_parallels > 100
 
 
 # -- the one-slot labelling memo -------------------------------------------------

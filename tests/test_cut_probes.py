@@ -12,7 +12,7 @@ def test_the_smallest_size_colors(family):
     first = FAMILIES[family][1]
     n, seconds, ok = probe(family, first)
     assert ok and seconds > 0
-    assert n == {"necklace": 4 * first, "ring_block": 6 * first + 6}[family]
+    assert n == {"necklace": 4 * first, "necklace_flow": 4 * first, "ring_block": 6 * first + 6}[family]
 
 
 def test_the_families_have_the_cuts_they_probe():

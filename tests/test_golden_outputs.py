@@ -8,13 +8,18 @@ verdict, universe, count and counterexample, including the K4 flow that
 makes a vertex fully rich.  The third covers nz_z23_flow at the benchmark's
 sizes (seeded bridgeless cubic graphs at n = 40, 80 and 160, some joined
 through a 2-edge-cut, and C_400 x K2) and the two Z_2^2 constructions on
-doubled copies of two of them.  A refactor must leave all three unchanged;
-a change that alters outputs on purpose records the new digest and says why.
+doubled copies of two of them.  The fourth covers nz_z23_flow on seeded
+random bridgeless pseudographs, whose loops, parallel edges and 2-cuts with
+a shared endpoint reach the loop cases of its 2-cut join.  A refactor must
+leave all four unchanged; a change that alters outputs on purpose records
+the new digest and says why.
 """
 
 import hashlib
 import random
+from collections import Counter
 
+from normal7 import flows_trees
 from normal7.cli import main
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
 from normal7.graph_core import PseudoGraph
@@ -37,6 +42,7 @@ from tests.corpora import (
     petersen,
     prism,
     prism_ring,
+    random_pseudograph,
     theta_graph,
     three_bridge_star,
     two_bridge_chain,
@@ -51,6 +57,7 @@ from tests.test_flows_trees import doubled
 GOLDEN_DIGEST = "f6965954cb8a02ba96ceefad71eeb74ada2715c3918b299d0047a4448471b317"
 CERTIFY_DIGEST = "b356133c2478079d1ef55fa51723aeae6ace76a084207a1f50091b1df2065229"
 FLOW_DIGEST = "6ce226a5dd8de1582b2f66a1265eeaafb0e6f70aa80e7566d8b06ced8a82884d"
+PSEUDOGRAPH_FLOW_DIGEST = "a264a51ac52dfcae0bb5f684b027a5ff5eb13b0054b8e778769be24edbbc9b82"
 
 
 def relabeled(g: PseudoGraph, seed: int) -> PseudoGraph:
@@ -189,3 +196,33 @@ def test_flows_match_the_pinned_digest():
     for row in flow_rows():
         h.update(row.encode() + b"\n")
     assert h.hexdigest() == FLOW_DIGEST
+
+
+def bridgeless_pseudographs(count: int = 1000):
+    """count seeded random pseudographs with no bridge, on 1 to 12 vertices
+    with n to 2n + 5 edges: most have loops and parallel edges."""
+    rng = random.Random(5)
+    while count:
+        n = rng.randrange(1, 13)
+        g = random_pseudograph(rng, n, rng.randrange(n, 2 * n + 6))
+        if not find_bridges(g):
+            count -= 1
+            yield g
+
+
+def test_pseudograph_flows_match_the_pinned_digest(monkeypatch):
+    # count, per 2-cut split, which of the two arising edges are loops
+    arising_loops = Counter()
+    split = flows_trees.two_cut_reduction
+
+    def counted(g, cut, strict=True):
+        pa, pb, trace = split(g, cut, strict=strict)
+        arising_loops[pa.graph.is_loop(pa.arising[0]), pb.graph.is_loop(pb.arising[0])] += 1
+        return pa, pb, trace
+
+    monkeypatch.setattr(flows_trees, "two_cut_reduction", counted)
+    h = hashlib.sha256()
+    for g in bridgeless_pseudographs():
+        h.update(f"{sorted(nz_z23_flow(g).values.items())}\n".encode())
+    assert set(arising_loops) == {(False, False), (False, True), (True, False), (True, True)}
+    assert h.hexdigest() == PSEUDOGRAPH_FLOW_DIGEST

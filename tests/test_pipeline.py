@@ -9,7 +9,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from normal7 import cuts_reductions, normal7_pipeline
+from normal7 import cuts_reductions, flows_trees, normal7_pipeline
 from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeColoring, EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
@@ -1062,15 +1062,22 @@ class TestOutputChecks:
     keeps them."""
 
     def test_no_aligning_automorphism_raises(self, monkeypatch):
-        monkeypatch.setattr(normal7_pipeline, "find_automorphism", lambda **kw: None)
+        monkeypatch.setattr(flows_trees, "find_automorphism", lambda **kw: None)
         with pytest.raises(VerificationError, match="no value automorphism"):
             flow_edge_poor(fig6_graph(), 0)
 
     def test_piece_flows_that_disagree_on_a_cut_raise(self, monkeypatch):
         # skip the renaming that lines the second piece up with the first
-        monkeypatch.setattr(normal7_pipeline, "apply_automorphism", lambda flow, auto: flow)
+        monkeypatch.setattr(flows_trees, "apply_automorphism", lambda flow, auto: flow)
         with pytest.raises(VerificationError, match="disagree on an arising edge"):
             flow_edge_poor(prism(), 0)
+
+    def test_an_unaligned_ladder_end_raises(self, monkeypatch):
+        # the horizontal ladder case renames its second end's flow
+        monkeypatch.setattr(normal7_pipeline, "all_automorphisms", lambda: ())
+        g = diamond_lobe_pair(3)
+        with pytest.raises(VerificationError, match="aligns the second ladder end"):
+            color_pendant_block(PendantBlockInput.from_edge(g, eid_between(g, 4, 6)))
 
     def test_a_bridge_left_rich_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,5 +1,6 @@
 """Cut-heavy probes: time normal7_coloring on the graph families whose
-2- and 3-edge-cuts grow with n, and check every coloring with is_normal.
+2- and 3-edge-cuts grow with n, and check every coloring with is_normal;
+time nz_z23_flow on the necklace, and check every flow with verify_flow.
 
   * necklace: a diamond necklace, L copies of K4 minus an edge joined in a
     ring by L edges (n = 4L).  Simple, cubic and bridgeless; every pair of
@@ -10,6 +11,8 @@
     (n = 6L + 6).  The ring is 3-edge-connected with 2L nontrivial
     3-edge-cuts; normal7_coloring runs ManyPendant_t1 and then the
     3-edge-connected pendant-block case on it.
+  * necklace_flow: nz_z23_flow on the diamond necklace, whose 2-cut
+    recursion splits it at one pair of ring edges per level.
 
 Run from the repository root (it takes under a minute on one core):
 
@@ -17,8 +20,8 @@ Run from the repository root (it takes under a minute on one core):
 
 Each family runs STEPS sizes; each size's L doubles, less one, from the
 family's first L.  Prints one row per size: the family, n, the best of
-REPEAT coloring times (is_normal excluded) and the log-log slope against
-the previous size.  Exits 1 when a coloring fails is_normal.
+REPEAT run times (the check excluded) and the log-log slope against the
+previous size.  Exits 1 when a result fails its check.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
 from normal7.coloring_solver import is_normal
+from normal7.flows_trees import nz_z23_flow, verify_flow
 from normal7.graph_core import PseudoGraph
 from normal7.normal7_pipeline import normal7_coloring
 
@@ -79,37 +83,48 @@ def ring_with_block(length: int) -> PseudoGraph:
     return PseudoGraph.from_edges(n + 6, edges)
 
 
-# family -> (graph of parameter L, the first L)
-FAMILIES: Dict[str, Tuple[Callable[[int], PseudoGraph], int]] = {
-    "necklace": (diamond_necklace, 9),
-    "ring_block": (ring_with_block, 14),
+def _normal(coloring) -> bool:
+    return is_normal(coloring)[0]
+
+
+def _nowhere_zero(flow) -> bool:
+    check = verify_flow(flow)
+    return check.conserving and check.nowhere_zero
+
+
+# family -> (graph of parameter L, the first L, the timed call, its check)
+Probe = Tuple[Callable[[int], PseudoGraph], int, Callable[[PseudoGraph], Any], Callable[[Any], bool]]
+FAMILIES: Dict[str, Probe] = {
+    "necklace": (diamond_necklace, 9, normal7_coloring, _normal),
+    "necklace_flow": (diamond_necklace, 9, nz_z23_flow, _nowhere_zero),
+    "ring_block": (ring_with_block, 14, normal7_coloring, _normal),
 }
 STEPS = 4  # sizes per family
-REPEAT = 3  # colorings timed per size
+REPEAT = 3  # runs timed per size
 
 
 def probe(family: str, length: int) -> Tuple[int, float, bool]:
-    """(n, best seconds over REPEAT colorings, whether is_normal accepts)."""
-    build = FAMILIES[family][0]
+    """(n, best seconds over REPEAT runs, whether the check accepts)."""
+    build, _, run, check = FAMILIES[family]
     g = build(length)
     best = math.inf
     for _ in range(REPEAT):
         start = time.perf_counter()
-        coloring = normal7_coloring(g)
+        result = run(g)
         best = min(best, time.perf_counter() - start)
-    return g.num_vertices, best, is_normal(coloring)[0]
+    return g.num_vertices, best, check(result)
 
 
 def main() -> int:
     failures = 0
-    print(f"{'family':<11} {'n':>6} {'seconds':>9} {'slope':>6}  is_normal")
-    for family, (_, first) in sorted(FAMILIES.items()):
+    print(f"{'family':<13} {'n':>6} {'seconds':>9} {'slope':>6}  check")
+    for family, (_, first, _, _) in sorted(FAMILIES.items()):
         previous = None
         for step in range(STEPS):
             n, seconds, ok = probe(family, (first - 1) * 2**step + 1)
             failures += not ok
             slope = "" if previous is None else f"{math.log(seconds / previous[1]) / math.log(n / previous[0]):.2f}"
-            print(f"{family:<11} {n:>6} {seconds:>9.3f} {slope:>6}  {'ok' if ok else 'FAIL'}", flush=True)
+            print(f"{family:<13} {n:>6} {seconds:>9.3f} {slope:>6}  {'ok' if ok else 'FAIL'}", flush=True)
             previous = (n, seconds)
     return 1 if failures else 0
 
