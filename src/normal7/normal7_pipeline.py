@@ -17,14 +17,15 @@ three layers, each exposed on its own:
     every edge except the pendant bridge ends up poor or rich.  The case
     split keys on how the chosen edge sits relative to maximal ladders.
   * color_degree13_graph handles graphs whose degrees are all 1 or 3 and
-    whose bridges are all pendant, by merging pendant edges two at a time;
+    whose bridges are all pendant: one loop merges pendant edges two at a
+    time, with one check of the input and one of the coloring per call;
     normal7_coloring splits an arbitrary simple cubic graph at its bridges,
     colors each isomorphism class of piece once, and glues along the
     bridges with palette renamings.
 
 A disconnected input is solved one component at a time through
-graph_core.solve_per_component.  Every operation re-verifies its output
-before returning, with one check per kind of result: flows through
+graph_core.solve_per_component.  Every operation checks its result once,
+where it leaves the call, with one check per kind of result: flows through
 flows_trees.verified_nz_flow and the pinned edge statuses, colorings through
 _verified_normal, which also returns the status report.  A failed check
 raises VerificationError; for a coloring it is a PipelineVerificationError
@@ -885,114 +886,104 @@ def color_degree13_graph(
     every bridge pendant.  No edge is exempt: pendant edges are poor by the
     size of their color neighborhood.
 
-    Raises ValueError for a single-edge component, which admits no normal
-    coloring at any number of colors.
+    The input is checked once, each component colored by _degree13_colors
+    and the assembled coloring checked once.  Raises ValueError for a
+    single-edge component, which admits no normal coloring at any number of
+    colors.
     """
     steps: List[CertificateStep] = trace if trace is not None else []
     if not g.is_simple():
         raise ValueError("color_degree13_graph requires a simple graph")
-    degs = {v: g.degree(v) for v in g.vertices()}
-    if any(d not in (1, 3) for d in degs.values()):
+    if any(g.degree(v) not in (1, 3) for v in g.vertices()):
         raise ValueError("every vertex degree must be 1 or 3")
-    leaves = {v for v, d in degs.items() if d == 1}
     for b in find_bridges(g):
-        bu, bv = g.endpoints(b)
-        if bu not in leaves and bv not in leaves:
+        if 1 not in map(g.degree, g.endpoints(b)):
             raise ValueError("every bridge must be a pendant edge")
-
     if component_count(g) > 1:
-        colors = solve_per_component(
-            g, lambda sub, _: color_degree13_graph(sub, steps).colors
-        )
-        return _verified_normal(g, colors, steps)[0]
-
-    if g.num_vertices == 2 and len(g.edge_ids()) == 1:
-        raise ValueError(
-            "a lone edge admits no normal coloring: only one color appears "
-            "around it"
-        )
-
-    pendants = sorted(d for d in g.edge_ids() if set(g.endpoints(d)) & leaves)
-    t = len(pendants)
-
-    if t == 0:
-        return _flow_coloring(g, steps)
-
-    def attach_vertex(d: int) -> int:
-        a, b = g.endpoints(d)
-        return b if a in leaves else a
-
-    attach = [attach_vertex(d) for d in pendants]
-
-    if t >= 2 and len(set(attach)) == 1:
-        # all pendant edges share their attachment: the whole graph is a
-        # 3-star, colored directly (two pendants at one vertex would make
-        # its third edge a non-pendant bridge, rejected above)
-        assert t == 3 and g.num_vertices == 4
-        _record(steps, CaseTag.Triangle, g)
-        colors = {d: i + 1 for i, d in enumerate(pendants)}
-        return _verified_normal(g, colors, steps)[0]
-    assert len(set(attach)) == t
-
-    if t == 1:
-        return _suppress_single_pendant(g, pendants[0], attach[0], steps)
-
-    if t == 2:
-        u, v = attach
-        lu = g.other_endpoint(pendants[0], u)
-        lv = g.other_endpoint(pendants[1], v)
-        h0, vmap, emap = remove_vertices(g, {lu, lv})
-        ne = h0.add_edge(vmap[u], vmap[v])
-        assert h0.is_cubic() and not find_bridges(h0)
-        theta = nz_z23_flow(h0)
-        _record(steps, CaseTag.ManyPendant_t2, g, tuple(pendants))
-        colors = {orig: theta.values[loc] for orig, loc in emap.items()}
-        colors[pendants[0]] = theta.values[ne]
-        colors[pendants[1]] = theta.values[ne]
-        return _verified_normal(g, colors, steps)[0]
-
-    # t >= 3: merge two pendant edges at non-adjacent attachments
-    pair = None
-    for i in range(t):
-        for j in range(i + 1, t):
-            if not g.edges_between(attach[i], attach[j]):
-                pair = (i, j)
-                break
-        if pair:
-            break
-    if pair is None:
-        # pairwise adjacent attachments in a simple cubic-ish graph force a
-        # triangle with one pendant at each corner
-        assert t == 3 and g.num_vertices == 6
-        _record(steps, CaseTag.Triangle, g)
-        tri = sorted(d for d in g.edge_ids() if d not in pendants)
-        assert len(tri) == 3
-        colors = {d: i + 1 for i, d in enumerate(tri)}
-        for d in pendants:
-            av = attach_vertex(d)
-            here = {colors[x] for x in g.incident(av) if x != d}
-            colors[d] = ({1, 2, 3} - here).pop()
-        return _verified_normal(g, colors, steps)[0]
-
-    i, j = pair
-    u, v = attach[i], attach[j]
-    lu = g.other_endpoint(pendants[i], u)
-    lv = g.other_endpoint(pendants[j], v)
-    h0, vmap, emap = remove_vertices(g, {lu, lv})
-    ne = h0.add_edge(vmap[u], vmap[v])
-    assert h0.is_simple()
-    assert h0.num_vertices < g.num_vertices
-    _record(steps, CaseTag.Merge, g, (pendants[i], pendants[j]))
-    rec = color_degree13_graph(h0, steps)
-    colors = {orig: rec.colors[loc] for orig, loc in emap.items()}
-    colors[pendants[i]] = rec.colors[ne]
-    colors[pendants[j]] = rec.colors[ne]
+        colors = solve_per_component(g, lambda sub, _: _degree13_colors(sub, steps))
+    else:
+        colors = _degree13_colors(g, steps)
     return _verified_normal(g, colors, steps)[0]
+
+
+def _degree13_colors(g: PseudoGraph, steps: List[CertificateStep]) -> Dict[int, int]:
+    """The colors, unchecked, of a connected graph that passed
+    color_degree13_graph's checks.
+
+    Each pass of the loop is one level: a last case colors it and ends the
+    loop, or a Merge deletes the leaves of two pendant edges, joins their
+    attachments u and v by a new edge and goes on with the smaller graph.
+    A Merge keeps the checks true, so no level repeats them: u and v are
+    back at degree 3 and no other degree changes; u and v are distinct and
+    not adjacent, so the new edge is neither a loop nor a parallel edge; a
+    leaf lies on no cycle, so every other edge keeps its cycles, and the
+    graph stays connected, so the new edge closes a cycle with a path from
+    u to v and every bridge is still pendant.  Every pendant edge of a
+    level is one of g's, and the new edge's color is the two merged ones'.
+    The last case t = 2 joins its two pendant edges the same way, with no
+    Merge step, and colors the joined cubic graph from a flow.
+    """
+    if g.num_vertices == 2 and len(g.edge_ids()) == 1:
+        raise ValueError("a lone edge admits no normal coloring: only one color appears around it")
+    # the edges of g that each edge of the current level is colored for
+    held: Dict[int, Tuple[int, ...]] = {d: (d,) for d in g.edge_ids()}
+    while True:
+        leaves = {v for v in g.vertices() if g.degree(v) == 1}
+        pendants = sorted(d for d in g.edge_ids() if set(g.endpoints(d)) & leaves)
+        attach = [b if a in leaves else a for a, b in map(g.endpoints, pendants)]
+        t = len(pendants)
+
+        if t == 0:
+            colors = _flow_colors(g, steps)
+            break
+
+        if t >= 2 and len(set(attach)) == 1:
+            # all pendant edges share their attachment: the whole graph is a
+            # 3-star, colored directly (two pendants at one vertex would make
+            # its third edge a non-pendant bridge, rejected above)
+            assert t == 3 and g.num_vertices == 4
+            _record(steps, CaseTag.Triangle, g)
+            colors = {d: i + 1 for i, d in enumerate(pendants)}
+            break
+        assert len(set(attach)) == t
+
+        if t == 1:
+            colors = _suppress_single_pendant(g, pendants[0], attach[0], steps)
+            break
+
+        # join two pendant edges' attachments: both of t = 2, whose joined
+        # graph is cubic and colored from a flow, or else the first pair at
+        # non-adjacent attachments, a Merge
+        pair = (0, 1) if t == 2 else next(
+            ((i, j) for i in range(t) for j in range(i + 1, t) if not g.edges_between(attach[i], attach[j])), None
+        )
+        if pair is None:
+            # pairwise adjacent attachments in a simple cubic-ish graph force a
+            # triangle with one pendant at each corner
+            assert t == 3 and g.num_vertices == 6
+            _record(steps, CaseTag.Triangle, g)
+            tri = sorted(d for d in g.edge_ids() if d not in pendants)
+            assert len(tri) == 3
+            colors = {d: i + 1 for i, d in enumerate(tri)}
+            for d, av in zip(pendants, attach):
+                here = {colors[x] for x in g.incident(av) if x != d}
+                colors[d] = ({1, 2, 3} - here).pop()
+            break
+        i, j = pair
+        pi, pj, u, v = pendants[i], pendants[j], attach[i], attach[j]
+        _record(steps, CaseTag.ManyPendant_t2 if t == 2 else CaseTag.Merge, g, (pi, pj))
+        g, vmap, emap = remove_vertices(g, {g.other_endpoint(pi, u), g.other_endpoint(pj, v)})
+        ne = g.add_edge(vmap[u], vmap[v])
+        held = {loc: held[orig] for orig, loc in emap.items()} | {ne: held[pi] + held[pj]}
+        if t == 2:
+            colors = nz_z23_flow(g).values
+            break
+    return {d: c for loc, c in colors.items() for d in held[loc]}
 
 
 def _suppress_single_pendant(
     g: PseudoGraph, pendant: int, s: int, steps: List[CertificateStep]
-) -> EdgeColoring:
+) -> Dict[int, int]:
     """One pendant edge: remove it and smooth its attachment vertex, color
     the resulting bridgeless cubic graph through the pendant-block gadget,
     and pull the three gadget colors back."""
@@ -1011,7 +1002,7 @@ def _suppress_single_pendant(
     colors[e1] = rec.colors[sub.half_u]
     colors[e2] = rec.colors[sub.half_w]
     colors[pendant] = rec.colors[sub.bridge]
-    return _verified_normal(g, colors, steps)[0]
+    return colors
 
 
 def _verified_normal(
@@ -1037,11 +1028,12 @@ def _verified_normal(
     return col, report
 
 
-def _flow_coloring(g: PseudoGraph, steps: List[CertificateStep]) -> EdgeColoring:
-    """Color a bridgeless graph straight from a nowhere-zero Z_2^3 flow."""
+def _flow_colors(g: PseudoGraph, steps: List[CertificateStep]) -> Dict[int, int]:
+    """The colors of a bridgeless graph, read straight off a nowhere-zero
+    Z_2^3 flow."""
     colors = coloring_from_flow(nz_z23_flow(g)).colors
     _record(steps, CaseTag.ManyPendant_t0, g)
-    return _verified_normal(g, colors, steps)[0]
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -1262,7 +1254,7 @@ def normal7_coloring(
     if not g.is_simple():
         raise ValueError("normal7_coloring requires a simple graph")
     if not find_bridges(g):
-        return _flow_coloring(g, steps)
+        return _verified_normal(g, _flow_colors(g, steps), steps)[0]
 
     forest = build_glue_forest(g)
 

@@ -10,9 +10,13 @@ sizes (seeded bridgeless cubic graphs at n = 40, 80 and 160, some joined
 through a 2-edge-cut, and C_400 x K2) and the two Z_2^2 constructions on
 doubled copies of two of them.  The fourth covers nz_z23_flow on seeded
 random bridgeless pseudographs, whose loops, parallel edges and 2-cuts with
-a shared endpoint reach the loop cases of its 2-cut join.  A refactor must
-leave all four unchanged; a change that alters outputs on purpose records
-the new digest and says why.
+a shared endpoint reach the loop cases of its 2-cut join.  The fifth
+covers Merge, which none of the above reaches: normal7_coloring on pendant
+rings (tools/cut_probes.py), plain and relabelled, whose ring piece merges
+its pendant edges down to ManyPendant_t1 or ManyPendant_t2, and
+color_degree13_graph on a Petersen graph with four pendant edges.  A
+refactor must leave all five unchanged; a change that alters outputs on
+purpose records the new digest and says why.
 """
 
 import hashlib
@@ -22,7 +26,7 @@ from collections import Counter
 from normal7 import flows_trees
 from normal7.cli import main
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
-from normal7.graph_core import PseudoGraph
+from normal7.graph_core import PseudoGraph, attach_pendant
 from normal7.normal7_pipeline import (
     color_degree13_graph,
     flow_edge_poor,
@@ -49,6 +53,7 @@ from tests.corpora import (
 )
 from tests.test_cut_oracle import joined_by_two_cut, pairing_cubic
 from tests.test_flows_trees import doubled
+from tools.cut_probes import pendant_ring
 
 # re-pinned when normal7_coloring began to color each isomorphism class of
 # piece once per call: five census graphs and the relabelled three-bridge
@@ -58,6 +63,7 @@ GOLDEN_DIGEST = "f6965954cb8a02ba96ceefad71eeb74ada2715c3918b299d0047a4448471b31
 CERTIFY_DIGEST = "b356133c2478079d1ef55fa51723aeae6ace76a084207a1f50091b1df2065229"
 FLOW_DIGEST = "6ce226a5dd8de1582b2f66a1265eeaafb0e6f70aa80e7566d8b06ced8a82884d"
 PSEUDOGRAPH_FLOW_DIGEST = "a264a51ac52dfcae0bb5f684b027a5ff5eb13b0054b8e778769be24edbbc9b82"
+MERGE_DIGEST = "b6cef25646735c95ee77382f42dcc4fc478603a6481289de63a165bc8520acb8"
 
 
 def relabeled(g: PseudoGraph, seed: int) -> PseudoGraph:
@@ -226,3 +232,36 @@ def test_pseudograph_flows_match_the_pinned_digest(monkeypatch):
         h.update(f"{sorted(nz_z23_flow(g).values.items())}\n".encode())
     assert set(arising_loops) == {(False, False), (False, True), (True, False), (True, True)}
     assert h.hexdigest() == PSEUDOGRAPH_FLOW_DIGEST
+
+
+def merge_case_graph() -> PseudoGraph:
+    """The Petersen graph less edges 0 and 2, a pendant edge at each of
+    their ends 0, 1, 2 and 3."""
+    g = petersen()
+    g.remove_edge(0)
+    g.remove_edge(2)
+    for v in (0, 1, 2, 3):
+        g, _, _ = attach_pendant(g, v)
+    return g
+
+
+def merge_rows():
+    for length in range(3, 25):
+        ring = pendant_ring(length)
+        for label, g in (("plain", ring), ("relabeled", relabeled(ring, length))):
+            yield f"pendant ring L={length} {label}"
+            yield from coloring_rows(g)
+    yield "merge case"
+    yield from coloring_rows(merge_case_graph(), color_degree13_graph)
+
+
+def test_merges_match_the_pinned_digest():
+    rows = list(merge_rows())
+    tags = [row.split()[1] for row in rows if row.startswith("step ")]
+    assert tags.count("Merge") >= 200
+    after_merge = {b for a, b in zip(tags, tags[1:]) if a == "Merge"}
+    assert {"ManyPendant_t1", "ManyPendant_t2"} <= after_merge
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(row.encode() + b"\n")
+    assert h.hexdigest() == MERGE_DIGEST

@@ -13,7 +13,7 @@ from normal7 import cuts_reductions, flows_trees, normal7_pipeline
 from normal7.certify import gadget_block_edges
 from normal7.coloring_solver import EdgeColoring, EdgeStatus, is_normal
 from normal7.cuts_reductions import find_2_edge_cuts, find_bridges
-from normal7.flows_trees import FlowCheck, flow_edge_status, verify_flow
+from normal7.flows_trees import FlowCheck, GroupFlow, flow_edge_status, verify_flow
 from normal7.graph_core import (
     PseudoGraph,
     VerificationError,
@@ -55,7 +55,7 @@ from tests.corpora import (
     three_bridge_star,
     two_bridge_chain,
 )
-from tests.test_golden_outputs import builds as golden_builds, relabeled
+from tests.test_golden_outputs import builds as golden_builds, merge_case_graph, relabeled
 from tools.cut_probes import diamond_necklace, truncated_prism_ring_edges
 from tools.verify_sweep import piece_copies
 
@@ -73,6 +73,17 @@ def eid_between(g: PseudoGraph, u: int, v: int) -> int:
     ids = g.edges_between(u, v)
     assert len(ids) == 1
     return ids[0]
+
+
+def pendant_ladder(length: int) -> PseudoGraph:
+    """The ring piece of tools.cut_probes.pendant_ring: C_L x K2 with rung i
+    subdivided at 2L + i and a pendant edge from there to 3L + i.  Every
+    degree is 1 or 3 and every bridge is pendant."""
+    edges = []
+    for i in range(length):
+        j, s = (i + 1) % length, 2 * length + i
+        edges += [(i, j), (length + i, length + j), (i, s), (s, length + i), (s, 3 * length + i)]
+    return PseudoGraph.from_edges(4 * length, edges)
 
 
 class TestFlowEdgePoor:
@@ -362,15 +373,9 @@ class TestDegree13:
         assert ok
 
     def test_merge_case(self):
-        g0 = petersen()
-        g1 = g0.copy()
-        g1.remove_edge(0)
-        g1.remove_edge(2)
-        g = g1
-        pendants = []
-        for v in (0, 1, 2, 3):
-            g, _, p = attach_pendant(g, v)
-            pendants.append(p)
+        g = merge_case_graph()
+        pendants = [d for d in g.edge_ids() if 1 in map(g.degree, g.endpoints(d))]
+        assert len(pendants) == 4
         steps = []
         col = color_degree13_graph(g, steps)
         assert CaseTag.Merge in [s.tag for s in steps]
@@ -401,6 +406,53 @@ class TestDegree13:
         col = color_degree13_graph(g)
         ok, _ = is_normal(col)
         assert ok
+
+    def test_a_merge_chain_is_one_call(self, monkeypatch):
+        # 201 pendant edges: 100 Merge levels down to ManyPendant_t1, all
+        # peeled by one call with no nested one
+        calls, depth = [], []
+        color = normal7_pipeline.color_degree13_graph
+
+        def counted(sub, trace=None):
+            calls.append(len(depth))
+            depth.append(sub)
+            try:
+                return color(sub, trace)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(normal7_pipeline, "color_degree13_graph", counted)
+        steps = []
+        assert is_normal(normal7_pipeline.color_degree13_graph(pendant_ladder(201), steps))[0]
+        assert [s.tag for s in steps].count(CaseTag.Merge) >= 100
+        assert calls == [0]
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_a_merge_chain_is_checked_once(self, monkeypatch, copies):
+        # 20 pendant edges per component: 9 Merge levels, then
+        # ManyPendant_t2, whose flow colors the last level with no check
+        checks = []
+        check = normal7_pipeline.is_normal
+
+        def counted(col):
+            checks.append(col.graph.num_vertices)
+            return check(col)
+
+        monkeypatch.setattr(normal7_pipeline, "is_normal", counted)
+        g = disjoint_union(*[pendant_ladder(20)] * copies)
+        steps = []
+        color_degree13_graph(g, steps)
+        assert [s.tag for s in steps] == ([CaseTag.Merge] * 9 + [CaseTag.ManyPendant_t2]) * copies
+        assert checks == [g.num_vertices]
+
+    def test_a_wrong_last_level_raises_with_every_merge(self, monkeypatch):
+        # the last level's flow puts one color on every edge
+        monkeypatch.setattr(
+            normal7_pipeline, "nz_z23_flow", lambda h: GroupFlow(h, 3, dict.fromkeys(h.edge_ids(), 1))
+        )
+        with pytest.raises(PipelineVerificationError, match="improper") as err:
+            color_degree13_graph(pendant_ladder(20))
+        assert [s.tag for s in err.value.trace] == [CaseTag.Merge] * 9 + [CaseTag.ManyPendant_t2]
 
 
 class TestNormal7Coloring:
@@ -850,8 +902,9 @@ class TestPieceMemo:
                 assert normal7_pipeline._read_piece(g, verts, ()) == read._replace(first=None)
 
     def colored_sizes(self, monkeypatch, g, steps):
-        """The vertex counts of the graphs color_degree13_graph colors, its
-        recursion included, while normal7_coloring colors g into steps."""
+        """The vertex counts of the graphs color_degree13_graph is called on
+        while normal7_coloring colors g into steps: one call per piece it
+        colors, whose Merge levels the call peels itself."""
         calls = []
         color = normal7_pipeline.color_degree13_graph
 

@@ -1,6 +1,7 @@
 """Cut-heavy probes: time normal7_coloring on the graph families whose
-2- and 3-edge-cuts grow with n, and check every coloring with is_normal;
-time nz_z23_flow on the necklace, and check every flow with verify_flow.
+2- and 3-edge-cuts or pendant edges grow with n, and check every coloring
+with is_normal; time nz_z23_flow on the necklace, and check every flow with
+verify_flow.
 
   * necklace: a diamond necklace, L copies of K4 minus an edge joined in a
     ring by L edges (n = 4L).  Simple, cubic and bridgeless; every pair of
@@ -13,8 +14,13 @@ time nz_z23_flow on the necklace, and check every flow with verify_flow.
     3-edge-connected pendant-block case on it.
   * necklace_flow: nz_z23_flow on the diamond necklace, whose 2-cut
     recursion splits it at one pair of ring edges per level.
+  * pendant_ring: C_L x K2 with every rung subdivided and a near-K4 block
+    hung by a bridge from each subdivision vertex (n = 8L).  The ring's
+    piece has L pendant edges, which color_degree13_graph merges two at a
+    time, about L / 2 Merge levels, down to ManyPendant_t1 (L odd) or
+    ManyPendant_t2 (L even).
 
-Run from the repository root (it takes under a minute on one core):
+Run from the repository root (it takes about a minute on one core):
 
     python3 tools/cut_probes.py
 
@@ -69,18 +75,36 @@ def truncated_prism_ring_edges(length: int) -> List[Edge]:
     return edges
 
 
+def bridged_block_edges(s: int, first: int) -> List[Edge]:
+    """A near-K4 block on first, ..., first + 4 bridged to vertex s: K4 on
+    a, b, c, d with the edge c-d subdivided at t, and t bridged to s."""
+    a, b, c, d, t = range(first, first + 5)
+    return [(a, b), (a, c), (a, d), (b, c), (b, d), (c, t), (t, d), (s, t)]
+
+
 def ring_with_block(length: int) -> PseudoGraph:
     """The truncated prism ring with its first ring edge subdivided at s and
     a near-K4 block bridged to s."""
     edges = truncated_prism_ring_edges(length)
     n = 6 * length
-    s, a, b, c, d, t = range(n, n + 6)
     u, v = edges[6 * length]
-    edges[6 * length] = (u, s)
-    edges.append((s, v))
-    # K4 on a, b, c, d with the edge c-d subdivided at t, and t bridged to s
-    edges += [(a, b), (a, c), (a, d), (b, c), (b, d), (c, t), (t, d), (s, t)]
+    edges[6 * length] = (u, n)
+    edges.append((n, v))
+    edges += bridged_block_edges(n, n + 1)
     return PseudoGraph.from_edges(n + 6, edges)
+
+
+def pendant_ring(length: int) -> PseudoGraph:
+    """C_L x K2 on the cycles 0..L-1 and L..2L-1, rung i subdivided at
+    2L + i, and a near-K4 block on 3L + 5i, ..., 3L + 5i + 4 bridged to
+    2L + i."""
+    edges: List[Edge] = []
+    for i in range(length):
+        j = (i + 1) % length
+        s = 2 * length + i
+        edges += [(i, j), (length + i, length + j), (i, s), (s, length + i)]
+        edges += bridged_block_edges(s, 3 * length + 5 * i)
+    return PseudoGraph.from_edges(8 * length, edges)
 
 
 def _normal(coloring) -> bool:
@@ -97,6 +121,7 @@ Probe = Tuple[Callable[[int], PseudoGraph], int, Callable[[PseudoGraph], Any], C
 FAMILIES: Dict[str, Probe] = {
     "necklace": (diamond_necklace, 9, normal7_coloring, _normal),
     "necklace_flow": (diamond_necklace, 9, nz_z23_flow, _nowhere_zero),
+    "pendant_ring": (pendant_ring, 63, normal7_coloring, _normal),
     "ring_block": (ring_with_block, 14, normal7_coloring, _normal),
 }
 STEPS = 4  # sizes per family
